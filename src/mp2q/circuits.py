@@ -243,31 +243,19 @@ def _controlled_pauli_x_exp(coeff: float, qubits, control: int) -> list[Gate]:
 
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n unitary of a single gate (test/oracle use)."""
-    from . import statevec
-
-    dim = 1 << n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        col = np.zeros(dim, dtype=complex)
-        col[j] = 1.0
-        u[:, j] = statevec.apply_gate(col, gate, n_qubits)
-    return u
+    return unitary_of(Circuit(n_qubits, [gate]))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit; capped at 12 qubits."""
+    """Dense unitary of a circuit: every gate applied once to the identity,
+    whose columns ride along as the kernel's batch axis; capped at 12 qubits."""
     from . import statevec
 
     if circuit.n_qubits > 12:
         raise ValueError(f"unitary_of capped at 12 qubits, got {circuit.n_qubits}")
-    dim = 1 << circuit.n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        col = np.zeros(dim, dtype=complex)
-        col[j] = 1.0
-        for g in circuit.gates:
-            col = statevec.apply_gate(col, g, circuit.n_qubits)
-        u[:, j] = col
+    u = np.eye(1 << circuit.n_qubits, dtype=complex)
+    for g in circuit.gates:
+        statevec.apply_gate(u, g, circuit.n_qubits)
     return u
 
 

@@ -113,13 +113,15 @@ def _write_sweep_csv(path, result: estimate.PipelineEstimate):
         w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
         for part, detail in sorted(result.parts.items()):
             for row in detail.sweep.rows:
-                shots = row.counts.shots if row.counts is not None else 0
-                for outcome, value in sorted(row.outcome_fractions().items()):
-                    count = (row.counts.counts[outcome] if row.counts is not None
-                             else value)
+                # exact mode writes each probability as the count, with shots 0
+                sampled = row.counts is not None
+                values = row.counts.counts if sampled else row.probs
+                width = values.size.bit_length() - 1
+                for i in np.flatnonzero(values > 0):
                     w.writerow([part, row.step, _fmt(row.lam), _fmt(row.lam_sq),
-                                outcome, _fmt(count) if shots == 0 else count,
-                                shots, _fmt(row.zeta)])
+                                format(i, f"0{width}b"),
+                                values[i] if sampled else _fmt(values[i]),
+                                row.counts.shots if sampled else 0, _fmt(row.zeta)])
 
 
 def _write_fit_json(path, result: estimate.PipelineEstimate, oracle: float, rel: float):
@@ -171,19 +173,41 @@ def cmd_lower(args) -> int:
     return 2 if violations else 0
 
 
-def _read_counts_csv(path) -> dict[int, dict[str, float]]:
-    tables: dict[int, dict[str, float]] = {}
+def _read_counts_csv(path) -> tuple[int, dict[int, np.ndarray]]:
+    """Count tables keyed by register input, each an array over the 2^(Q+1)
+    outcomes. The first outcome string fixes Q+1; every row must match it,
+    name an input in 0..2^Q-1 and hold a finite, non-negative count."""
+    tables: dict[int, np.ndarray] = {}
+    width = None
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tables.setdefault(int(row["input"]), {})[row["outcome"]] = float(row["count"])
-    return tables
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where, outcome = f"{path} row {reader.line_num}", row["outcome"] or ""
+            width = width or max(len(outcome), 2)
+            if len(outcome) != width or not set(outcome) <= {"0", "1"}:
+                raise SchemaError(f"{where}: outcome {outcome!r} is not {width} "
+                                  f"characters of 0/1 (Q+1, Q >= 1)")
+            try:
+                x, count = int(row["input"]), float(row["count"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+            if not 0 <= x < 1 << (width - 1):
+                raise SchemaError(f"{where}: input {x} outside 0..{(1 << (width - 1)) - 1}")
+            if not (np.isfinite(count) and count >= 0.0):
+                raise SchemaError(f"{where}: count {row['count']!r} is not finite "
+                                  f"and non-negative")
+            code = sum(1 << i for i, bit in enumerate(reversed(outcome)) if bit == "1")
+            tables.setdefault(x, np.zeros(1 << width))[code] = count
+    if width is None:
+        raise SchemaError(f"{path}: no count rows")
+    return width - 1, tables
 
 
 def cmd_correct(args) -> int:
-    counts_all = _read_counts_csv(args.counts_all)
-    counts_lite = _read_counts_csv(args.counts_lite)
-    n_inputs = len(counts_all)
-    q = (n_inputs - 1).bit_length()
+    q, counts_all = _read_counts_csv(args.counts_all)
+    q_lite, counts_lite = _read_counts_csv(args.counts_lite)
+    if q != q_lite:
+        raise SchemaError(f"count tables disagree on Q: {q} (all) vs {q_lite} (lite)")
     missing = [x for x in range(1 << q) if x not in counts_all or x not in counts_lite]
     if missing:
         raise SchemaError(f"count tables missing inputs {missing}")
@@ -202,9 +226,7 @@ def cmd_correct(args) -> int:
             header += ["theory", "abs_dev"]
         w.writerow(header)
         for x in range(1 << q):
-            table = counts_all[x]
-            lo = table.get(estimate.bitstring(x, q + 1), 0.0)
-            hi = table.get(estimate.bitstring(x | (1 << q), q + 1), 0.0)
+            lo, hi = counts_all[x][x], counts_all[x][x | (1 << q)]
             raw = hi / (lo + hi)
             row = [x, _fmt(raw), _fmt(corrected[x])]
             if theory is not None:

@@ -9,8 +9,6 @@ which is what the energy divides out.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,7 @@ from .builders import (AngleTable, PipelineSpec, build_pipeline, build_uint,
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
-from .statevec import CountsTable, bitstring, task_seed
+from .statevec import CountsTable, task_seed
 
 EXACT = "exact-probabilities"
 SAMPLED = "sampled"
@@ -51,13 +49,13 @@ class SweepRow:
     lam_sq: float
     zeta: float                       # Pr[q' = 1], all register outcomes
     zeta_signal: float                # Pr[q' = 1 and register != base state]
-    probs: dict[str, float] | None = None
-    counts: CountsTable | None = None
+    probs: np.ndarray | None = None   # exact mode, indexed by basis state
+    counts: CountsTable | None = None  # sampled mode
 
-    def outcome_fractions(self) -> dict[str, float]:
+    def outcome_fractions(self) -> np.ndarray:
         if self.counts is not None:
-            return {k: v / self.counts.shots for k, v in self.counts.counts.items()}
-        return dict(self.probs)
+            return self.counts.counts / self.counts.shots
+        return self.probs
 
 
 @dataclass
@@ -88,36 +86,28 @@ def _sweep_row(block: EriBlock, angles: AngleTable, config: SweepConfig,
     lam = step * config.lambda_step
     q = block.n_qubits
     if config.circuit == "uint":
-        circ = build_uint(block, lam, base)
-        state = statevec.run_circuit(circ)
-        readout_bit = None
+        circ, readout_bit = build_uint(block, lam, base), None
     else:
-        circ = build_pipeline(PipelineSpec(block, lam, base), angles)
-        state = statevec.run_circuit(circ)
-        readout_bit = q
-    n = circ.n_qubits
+        circ, readout_bit = build_pipeline(PipelineSpec(block, lam, base), angles), q
+    state = statevec.run_circuit(circ)
     if config.mode == SAMPLED:
         counts = statevec.sample_counts(state, config.shots, task_seed(config.seed, step))
-        fractions = {k: v / config.shots for k, v in counts.counts.items()}
-        probs = None
+        probs, fractions = None, counts.counts / counts.shots
     else:
-        p = statevec.probabilities(state)
-        fractions = {bitstring(i, n): float(p[i]) for i in range(p.size) if p[i] > 0.0}
-        counts = None
-        probs = fractions
-    reg_mask = (1 << q) - 1
-    zeta = zeta_signal = 0.0
-    for key, frac in fractions.items():
-        idx = int(key, 2)
-        register = idx & reg_mask
-        hit = (idx >> readout_bit) & 1 if readout_bit is not None else register != base
-        if hit:
-            zeta += frac
-            if register != base:
-                zeta_signal += frac
-    if readout_bit is None:
-        zeta_signal = zeta
+        counts, probs = None, statevec.probabilities(state)
+        fractions = probs
+    idx = np.arange(fractions.size)
+    excited = (idx & ((1 << q) - 1)) != base
+    hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
+    zeta = _ordered_sum(fractions[hit])
+    zeta_signal = zeta if readout_bit is None else _ordered_sum(fractions[hit & excited])
     return SweepRow(step, lam, lam * lam, zeta, zeta_signal, probs, counts)
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum in ascending basis-state order. np.sum adds pairwise,
+    which can move the last bits of zeta and so of sweep.csv and fits.json."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
@@ -126,15 +116,7 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
     angles = solve_angles(block, c_e=c_e)
     base = default_base_state(block) if base_state is None else base_state
-    steps = range(config.n_rows())
-    workers = int(os.environ.get("MP2Q_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda s: _sweep_row(block, angles, config, base, s), steps))
-    else:
-        rows = [_sweep_row(block, angles, config, base, s) for s in steps]
-    rows.sort(key=lambda r: r.step)
+    rows = [_sweep_row(block, angles, config, base, s) for s in range(config.n_rows())]
     readout = None if config.circuit == "uint" else block.n_qubits
     return SweepResult(part or "block", c_e, base, block.n_qubits, readout,
                        config.mode, rows)
@@ -160,17 +142,18 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _plateau(x: np.ndarray, y: np.ndarray, slope: float) -> bool:
-    """Saturation guard: extrapolate the first-half secant across the window;
-    a >1.25 overshoot of the observed rise (or a non-rising fit) flags the fit.
+    """Saturation guard: extrapolate the first-quarter secant (at least two
+    steps) across the window; a >1.25 overshoot of the observed rise (or a
+    non-rising fit) flags the fit.
 
     The 1.25 threshold is calibrated on the exact saturation curves: part IV
     windows reaching lambda ~2 flag, windows inside the linear regime do not."""
     if slope <= 0.0:
         return True
-    half = max(2, len(x) // 4)
-    if x[half] == x[0]:
+    quarter = max(2, len(x) // 4)
+    if x[quarter] == x[0]:
         return False
-    early = (y[half] - y[0]) / (x[half] - x[0])
+    early = (y[quarter] - y[0]) / (x[quarter] - x[0])
     predicted = early * (x[-1] - x[0])
     observed = y[-1] - y[0]
     if predicted <= 0.0:
@@ -232,48 +215,39 @@ def estimate_eri_slopes(sweep: SweepResult, window: tuple[int, int] | None = Non
     estimate. Runs on uint sweeps (or pipeline sweeps, marginalized over q')."""
     start, count = window if window is not None else (0, len(sweep.rows))
     rows = sweep.rows[start:start + count]
-    q = sweep.n_register_qubits
-    reg_mask = (1 << q) - 1
     x = np.array([r.lam_sq for r in rows])
-    series: dict[int, np.ndarray] = {}
-    for i, row in enumerate(rows):
-        for key, frac in row.outcome_fractions().items():
-            code = int(key, 2) & reg_mask
-            if code == sweep.base_state:
-                continue
-            series.setdefault(code, np.zeros(len(rows)))[i] += frac
+    # frequency of each register code, summed over the readout bit if any
+    fractions = np.array([r.outcome_fractions() for r in rows])
+    series = fractions.reshape(len(rows), -1, 1 << sweep.n_register_qubits).sum(axis=1)
     out = {}
-    for code in sorted(series):
-        slope, intercept, lse = _ols(x, series[code])
+    for code in range(series.shape[1]):
+        if code == sweep.base_state or not series[:, code].any():
+            continue
+        slope, intercept, lse = _ols(x, series[:, code])
         if slope <= min_slope:
             continue
         out[code] = OutcomeSlope(slope, float(np.sqrt(max(slope, 0.0))),
-                                 intercept, lse, _plateau(x, series[code], slope))
+                                 intercept, lse, _plateau(x, series[:, code], slope))
     return out
 
 
-def _entry(table, key: str) -> float:
-    counts = table.counts if isinstance(table, CountsTable) else table
-    return float(counts.get(key, 0))
-
-
-def correct_denominators(counts_all: dict[int, object],
-                         counts_lite: dict[int, object],
+def correct_denominators(counts_all: dict[int, np.ndarray],
+                         counts_lite: dict[int, np.ndarray],
                          n_register_qubits: int = 4) -> np.ndarray:
     """Idle-gate error correction for the denominator ratios.
 
-    counts_all / counts_lite map each register input x to the outcome table of
-    the full / stripped-down circuit. The correction factor is the mean, over
-    inputs other than 0, of (lite_x + all_(x+2^Q)) / (lite_x + lite_(x+2^Q));
-    the corrected estimate for x is its raw all-counts ratio divided by it.
-    Identity when counts_all == counts_lite."""
+    counts_all / counts_lite map each register input x to the outcome counts
+    of the full / stripped-down circuit, an array indexed by basis state. The
+    correction factor is the mean, over inputs other than 0, of
+    (lite_x + all_(x+2^Q)) / (lite_x + lite_(x+2^Q)); the corrected estimate
+    for x is its raw all-counts ratio divided by it. Identity when
+    counts_all == counts_lite."""
     q = n_register_qubits
     n_inputs = 1 << q
-    width = q + 1
 
     def ratio_parts(tables, x):
-        lo = _entry(tables[x], bitstring(x, width))
-        hi = _entry(tables[x], bitstring(x | (1 << q), width))
+        lo = float(tables[x][x])
+        hi = float(tables[x][x | (1 << q)])
         if lo + hi == 0.0:
             raise NumericalError(f"no counts at input {x}")
         return lo, hi
@@ -303,9 +277,10 @@ def apply_diagonal_error(probs: np.ndarray, delta0: float, delta1: float,
 
 def ue_response_tables(block: EriBlock, c_e: float | None = None,
                        diag_error: tuple[float, float] | None = None,
-                       shots: float | None = None) -> dict[int, dict[str, float]]:
-    """Outcome tables of U_E for every basis input; the synthetic error model
-    is applied when diag_error=(delta0, delta1) is given.
+                       shots: float | None = None) -> dict[int, np.ndarray]:
+    """Outcome weights of U_E for every basis input, indexed by basis state;
+    the synthetic error model is applied when diag_error=(delta0, delta1) is
+    given.
 
     With shots=None the tables hold exact expected weights (shots = 1)."""
     from .builders import build_ue
@@ -321,9 +296,7 @@ def ue_response_tables(block: EriBlock, c_e: float | None = None,
         probs = statevec.probabilities(state)
         if diag_error is not None:
             probs = apply_diagonal_error(probs, diag_error[0], diag_error[1], q)
-        weight = shots if shots is not None else 1.0
-        tables[x] = {bitstring(i, q + 1): float(probs[i] * weight)
-                     for i in range(probs.size) if probs[i] > 0.0}
+        tables[x] = probs * (shots if shots is not None else 1.0)
     return tables
 
 

@@ -16,7 +16,6 @@ from .circuits import (CNOT, CRY, H, MCRY, ONE_CONTROL, PAULI_X_EXP, RX, RY,
 
 MAX_QUBITS = 20
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass
@@ -34,11 +33,11 @@ class StateVector:
 @dataclass
 class CountsTable:
     shots: int
-    counts: dict[str, int]
+    counts: np.ndarray               # int64 draws indexed by basis state
     seed: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        if int(self.counts.sum()) != self.shots:
             raise ValueError("counts must sum to shots")
 
 
@@ -63,73 +62,56 @@ def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
     return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex)
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    view = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return amps
+def _at(view: np.ndarray, n: int, pins) -> np.ndarray:
+    """Basic-slice view of `view` (shape (2,)*n + batch) with qubit q pinned to
+    bit b for every (q, b) in `pins`. Pins are length-1 slices, never integers,
+    so a view with every qubit pinned stays an array that can be written."""
+    idx = [slice(None)] * n
+    for q, b in pins:
+        idx[n - 1 - q] = slice(b, b + 1)
+    return view[tuple(idx)]
 
 
-def _control_mask_indices(n: int, controls, polarity: int, free_bit: int) -> np.ndarray:
-    """Indices with all control bits at `polarity` and bit `free_bit` = 0."""
-    idx = np.arange(1 << n)
-    sel = (idx >> free_bit) & 1 == 0
-    for c in controls:
-        bit = (idx >> c) & 1
-        sel &= bit == polarity
-    return idx[sel]
+def _rotate(lo: np.ndarray, hi: np.ndarray, mat: np.ndarray) -> None:
+    """(lo, hi) <- mat @ (lo, hi), elementwise over two disjoint views."""
+    a0 = lo.copy()
+    lo[...] = mat[0, 0] * a0 + mat[0, 1] * hi
+    hi[...] = mat[1, 0] * a0 + mat[1, 1] * hi
+
+
+def _swap(lo: np.ndarray, hi: np.ndarray) -> None:
+    lo[...], hi[...] = hi, lo.copy()
 
 
 def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one gate in place on the working buffer and return it."""
+    """Apply one gate in place on the working buffer and return it.
+
+    `amps` is C-contiguous with 2^n rows; any trailing axes are a batch (the
+    columns of a unitary), so one call updates every column at once."""
+    if not amps.flags.c_contiguous:
+        raise ValueError("apply_gate needs a C-contiguous amplitude buffer")
+    view = amps.reshape((2,) * n + amps.shape[1:])
     k = gate.kind
-    if k == X:
-        return _apply_1q(amps, _X_MAT, gate.qubits[0], n)
-    if k == H:
-        return _apply_1q(amps, _H_MAT, gate.qubits[0], n)
-    if k in (RX, RY, RZ):
-        return _apply_1q(amps, _rotation_matrix(k, gate.angle), gate.qubits[0], n)
-    if k == CNOT:
-        c, t = gate.qubits
-        i0 = _control_mask_indices(n, (c,), ONE_CONTROL, t)
-        i1 = i0 | (1 << t)
-        amps[i0], amps[i1] = amps[i1], amps[i0].copy()
-        return amps
-    if k == SWAP:
+    t = gate.target
+    if k in (X, CNOT, TOFFOLI):
+        pins = [(c, ONE_CONTROL) for c in gate.controls]
+        _swap(_at(view, n, pins + [(t, 0)]), _at(view, n, pins + [(t, 1)]))
+    elif k == SWAP:
         a, b = gate.qubits
-        idx = np.arange(1 << n)
-        sel = ((idx >> a) & 1 == 1) & ((idx >> b) & 1 == 0)
-        i0 = idx[sel]
-        i1 = (i0 ^ (1 << a)) | (1 << b)
-        amps[i0], amps[i1] = amps[i1], amps[i0].copy()
-        return amps
-    if k == TOFFOLI:
-        c1, c2, t = gate.qubits
-        i0 = _control_mask_indices(n, (c1, c2), ONE_CONTROL, t)
-        i1 = i0 | (1 << t)
-        amps[i0], amps[i1] = amps[i1], amps[i0].copy()
-        return amps
-    if k in (CRY, MCRY):
-        mat = _rotation_matrix(RY, gate.angle)
-        t = gate.target
-        i0 = _control_mask_indices(n, gate.controls, gate.polarity, t)
-        i1 = i0 | (1 << t)
-        a0 = amps[i0].copy()
-        a1 = amps[i1]
-        amps[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-        amps[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-        return amps
-    if k == PAULI_X_EXP:
-        mask = 0
-        for q in gate.qubits:
-            mask |= 1 << q
-        perm = np.arange(1 << n) ^ mask
-        # exp(i t X⊗...⊗X) = cos(t) I + i sin(t) (X-string)
-        flipped = amps[perm]
-        return np.multiply(amps, cos(gate.angle), out=amps) + 1j * sin(gate.angle) * flipped
-    raise ValueError(f"unknown gate kind {k}")
+        _swap(_at(view, n, [(a, 1), (b, 0)]), _at(view, n, [(a, 0), (b, 1)]))
+    elif k in (H, RX, RY, RZ, CRY, MCRY):
+        mat = _H_MAT if k == H else _rotation_matrix(k, gate.angle)
+        pins = [(c, gate.polarity) for c in gate.controls]
+        _rotate(_at(view, n, pins + [(t, 0)]), _at(view, n, pins + [(t, 1)]), mat)
+    elif k == PAULI_X_EXP:
+        # exp(i a X⊗...⊗X) = cos(a) I + i sin(a) (X-string), and the X-string
+        # sends index j to j ^ mask: the view reversed along the string's qubits
+        partner = np.flip(view, axis=tuple(n - 1 - q for q in gate.qubits)).copy()
+        amps *= cos(gate.angle)
+        amps += 1j * sin(gate.angle) * partner.reshape(amps.shape)
+    else:
+        raise ValueError(f"unknown gate kind {k}")
+    return amps
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -154,10 +136,6 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def bitstring(index: int, n_qubits: int) -> str:
-    return format(index, f"0{n_qubits}b")
-
-
 def sample_counts(state: StateVector, shots: int, seed: int) -> CountsTable:
     """Seeded multinomial draw from the exact outcome distribution."""
     if shots < 1:
@@ -165,9 +143,7 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> CountsTable:
     probs = probabilities(state)
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.multinomial(shots, probs)
-    counts = {bitstring(i, state.n_qubits): int(c) for i, c in enumerate(draws) if c > 0}
-    return CountsTable(shots, counts, seed)
+    return CountsTable(shots, rng.multinomial(shots, probs), seed)
 
 
 def marginal_probability(state: StateVector, qubit: int, value: int = 1) -> float:

@@ -188,7 +188,8 @@ def test_criterion_9_start_step_selection():
     y[0] += 10 * resid
     y[1] -= 10 * resid
     rows = [estimate.SweepRow(i, float(np.sqrt(xi)), float(xi), float(yi),
-                              float(yi), probs={}) for i, (xi, yi) in enumerate(zip(x, y))]
+                              float(yi), probs=np.zeros(32))
+            for i, (xi, yi) in enumerate(zip(x, y))]
     sweep = estimate.SweepResult("S", 1.0, 1, 4, 4, estimate.EXACT, rows)
     sel = select_start_step(sweep, step_len=0.0, total_steps=10)
     report(9, sel.best_start == 2,

@@ -36,28 +36,75 @@ def test_unitary_of_x():
     assert np.allclose(unitary_of(Circuit(1, [cg.x(0)])), X)
 
 
+def rx_mat(t):
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.diag([1.0 + 0j, -1.0])
+PROJ = {0: np.diag([1.0 + 0j, 0.0]), 1: np.diag([0.0 + 0j, 1.0])}
+
+
+def controlled_ref(n, controls, polarity, target, mat):
+    """Independent oracle for a controlled 2x2 gate: the identity off the
+    control subspace, mat on the target inside it (projectors and kron only)."""
+    pins = {c: PROJ[polarity] for c in controls}
+    return np.eye(1 << n) - kron_on(n, pins) + kron_on(n, {**pins, target: mat})
+
+
+ALL_CONTROL_MCRY = "mcry with controls on every other qubit"
+
+
+def random_gate(rng, n, kind):
+    """One gate of `kind` on random operands, with its kron-built reference."""
+    theta = float(rng.uniform(-np.pi, np.pi))
+    qs = [int(v) for v in rng.permutation(n)]
+    if kind in (cg.X, cg.H, cg.RX, cg.RY, cg.RZ):
+        mat = {cg.X: X, cg.H: H, cg.RX: rx_mat(theta), cg.RY: ry_mat(theta),
+               cg.RZ: rz_mat(theta)}[kind]
+        gate = cg.Gate(kind, (qs[0],), None if kind in (cg.X, cg.H) else theta)
+        return gate, kron_on(n, {qs[0]: mat})
+    if kind == cg.CNOT:
+        return cg.cnot(qs[0], qs[1]), controlled_ref(n, qs[:1], 1, qs[1], X)
+    if kind == cg.TOFFOLI:
+        return cg.toffoli(*qs[:3]), controlled_ref(n, qs[:2], 1, qs[2], X)
+    if kind == cg.SWAP:
+        a, b = qs[:2]
+        ref = sum(kron_on(n, {a: p, b: p}) for p in (I2, X, Y, Z)) / 2
+        return cg.swap(a, b), ref
+    if kind == cg.CRY:
+        pol = int(rng.integers(0, 2))
+        return (cg.cry(theta, qs[0], qs[1], polarity=pol),
+                controlled_ref(n, qs[:1], pol, qs[1], ry_mat(theta)))
+    if kind in (cg.MCRY, ALL_CONTROL_MCRY):
+        # two controls up to every qubit but the target
+        size = n if kind == ALL_CONTROL_MCRY else int(rng.integers(3, n + 1))
+        pol = int(rng.integers(0, 2))
+        ctrls, target = qs[:size - 1], qs[size - 1]
+        return (cg.mcry(theta, ctrls, target, polarity=pol),
+                controlled_ref(n, ctrls, pol, target, ry_mat(theta)))
+    support = qs[:int(rng.integers(1, n + 1))]
+    string = kron_on(n, {q: X for q in support})
+    return (cg.pauli_x_exp(theta, support),
+            np.cos(theta) * np.eye(1 << n) + 1j * np.sin(theta) * string)
+
+
 def test_unitary_of_random_vs_kron_oracle():
     rng = np.random.default_rng(17)
-    n = 3
-    for _ in range(10):
-        gates, ref = [], np.eye(8, dtype=complex)
-        for _ in range(5):
-            q = int(rng.integers(0, n))
-            pick = rng.integers(0, 4)
-            theta = float(rng.uniform(-np.pi, np.pi))
-            if pick == 0:
-                gates.append(cg.x(q))
-                ref = kron_on(n, {q: X}) @ ref
-            elif pick == 1:
-                gates.append(cg.h(q))
-                ref = kron_on(n, {q: H}) @ ref
-            elif pick == 2:
-                gates.append(cg.ry(theta, q))
-                ref = kron_on(n, {q: ry_mat(theta)}) @ ref
-            else:
-                gates.append(cg.rz(theta, q))
-                ref = kron_on(n, {q: rz_mat(theta)}) @ ref
+    n = 4
+    seen = set()
+    for _ in range(12):
+        gates, ref = [], np.eye(1 << n, dtype=complex)
+        for kind in [*rng.permutation(sorted(cg.KINDS)), ALL_CONTROL_MCRY]:
+            gate, mat = random_gate(rng, n, str(kind))
+            gates.append(gate)
+            ref = mat @ ref
+            seen.add((gate.kind, gate.polarity, len(gate.qubits)))
         assert np.max(np.abs(unitary_of(Circuit(n, gates)) - ref)) < 1e-12
+    assert {k for k, _, _ in seen} == cg.KINDS
+    # both polarities with controls on every qubit but the target
+    assert {(cg.MCRY, 0, n), (cg.MCRY, 1, n)} <= seen
 
 
 def test_unitary_of_cap():

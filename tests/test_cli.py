@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -98,6 +99,26 @@ def test_pipeline_sampled_reproducible(tmp_path, helium_path, capsys):
     assert (out1 / "fits.json").read_bytes() == (out2 / "fits.json").read_bytes()
 
 
+# SHA-256 of sweep.csv and fits.json for the helium fixture. A change that
+# alters these bytes on purpose updates the digests and says why.
+PINNED_DIGESTS = {
+    "exact": ("08ba110b9fc11fad2ce824b1532781481dff86d3a1bd895035d4ef896de19c45",
+              "02cba5dbd2887be6b554e95a797a87bdf025832ad9d74852feb025d04a1c7b98"),
+    "sampled": ("44cedc6400c6b71bf85d109bf07bbf681f295b7e69e64164e88136f9d0290dcb",
+                "7508d71e4b32162e131c227dd2591877984d6a4d5ffade2826b7ab5f70e3af93"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+def test_pipeline_outputs_pinned(tmp_path, capsys, helium_path, mode):
+    extra = ["--seed", "7", "--shots", "100000"] if mode == "sampled" else []
+    assert main(["pipeline", "--hf-data", helium_path, "--mode", mode,
+                 "--out-dir", str(tmp_path), *extra]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("sweep.csv", "fits.json"))
+    assert digests == PINNED_DIGESTS[mode]
+
+
 def test_lower_ue_on_h_shape(tmp_path, capsys, helium_path):
     data = hfdata.load(helium_path)
     blk = hfdata.helium_blocks(data)["I"]
@@ -149,8 +170,8 @@ def _write_counts_csv(path, tables, q=4):
         w = csv.writer(fh)
         w.writerow(["input", "outcome", "count"])
         for x, table in tables.items():
-            for outcome, count in sorted(table.items()):
-                w.writerow([x, outcome, f"{count:.17g}"])
+            for i in np.flatnonzero(table):
+                w.writerow([x, format(i, f"0{q + 1}b"), f"{table[i]:.17g}"])
 
 
 def test_correct_identity(tmp_path, capsys, helium_path):
@@ -179,8 +200,50 @@ def test_correct_identity(tmp_path, capsys, helium_path):
 
 
 def test_correct_missing_input(tmp_path, capsys):
-    partial = {x: {"00000": 1.0, "10000": 1.0} for x in range(15)}
+    partial = {x: np.eye(32)[0] + np.eye(32)[16] for x in range(15)}
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_counts_csv(a, partial)
     _write_counts_csv(b, partial)
     assert main(["correct", "--counts-all", str(a), "--counts-lite", str(b)]) == 2
+
+
+def _valid_counts():
+    # every input x reads outcome x (readout 0) or x + 16 (readout 1)
+    return {x: np.eye(32)[x] + 3 * np.eye(32)[x | 16] for x in range(16)}
+
+
+@pytest.mark.parametrize("row, reason", [
+    (["3", "2x011", "5"], "characters of 0/1"),
+    (["3", "0011", "5"], "characters of 0/1"),
+    (["3", "000011", "5"], "characters of 0/1"),
+    (["16", "10000", "5"], "input 16 outside 0..15"),
+    (["-1", "00000", "5"], "input -1 outside 0..15"),
+    (["3", "10011", "nan"], "not finite"),
+    (["3", "10011", "inf"], "not finite"),
+    (["3", "10011", "-2"], "non-negative"),
+    (["3", "10011", "many"], "could not convert"),
+])
+def test_correct_rejects_malformed_row(tmp_path, capsys, row, reason):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    _write_counts_csv(good, _valid_counts())
+    _write_counts_csv(bad, _valid_counts())
+    with open(bad, "a", newline="") as fh:
+        csv.writer(fh).writerow(row)
+    line = len(bad.read_text().splitlines())
+    for files in ([bad, good], [good, bad]):
+        rc = main(["correct", "--counts-all", str(files[0]), "--counts-lite",
+                   str(files[1]), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"row {line}" in err and reason in err
+
+
+def test_correct_rejects_tables_of_different_width(tmp_path, capsys):
+    all_csv, lite_csv = tmp_path / "all.csv", tmp_path / "lite.csv"
+    _write_counts_csv(all_csv, _valid_counts())
+    # the same 16 inputs, written as Q=5 outcomes
+    _write_counts_csv(lite_csv, {x: np.eye(64)[x] + np.eye(64)[x | 32] for x in range(16)},
+                      q=5)
+    assert main(["correct", "--counts-all", str(all_csv), "--counts-lite",
+                 str(lite_csv), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "disagree on Q" in capsys.readouterr().err

@@ -92,30 +92,31 @@ def test_qubit_cap():
 def test_sample_deterministic_counts():
     state = statevec.run_circuit(Circuit(1, []))
     table = statevec.sample_counts(state, 100, seed=1)
-    assert table.counts == {"0": 100}
+    assert table.counts.dtype == np.int64
+    assert table.counts.tolist() == [100, 0]
 
 
 def test_sample_reproducible():
     state = statevec.run_circuit(Circuit(3, [cg.h(0), cg.h(1), cg.cnot(0, 2)]))
     t1 = statevec.sample_counts(state, 5000, seed=42)
     t2 = statevec.sample_counts(state, 5000, seed=42)
-    assert t1.counts == t2.counts
+    assert np.array_equal(t1.counts, t2.counts)
     t3 = statevec.sample_counts(state, 5000, seed=43)
-    assert t3.counts != t1.counts
+    assert not np.array_equal(t3.counts, t1.counts)
 
 
 def test_sample_binomial_bound():
     state = statevec.run_circuit(Circuit(1, [cg.h(0)]))
     shots = 100_000
     table = statevec.sample_counts(state, shots, seed=9)
-    dev = abs(table.counts["0"] - shots / 2)
+    dev = abs(table.counts[0] - shots / 2)
     assert dev <= 3 * np.sqrt(shots * 0.25)
 
 
 def test_sample_counts_sum_invariant():
     state = statevec.run_circuit(Circuit(2, [cg.h(0), cg.ry(0.7, 1)]))
     table = statevec.sample_counts(state, 12345, seed=5)
-    assert sum(table.counts.values()) == 12345
+    assert table.counts.sum() == 12345
 
 
 def test_sample_frequency_convergence_many_seeds():
@@ -129,7 +130,7 @@ def test_sample_frequency_convergence_many_seeds():
         for idx, p in enumerate(probs):
             if p < 1e-12:
                 continue
-            freq = table.counts.get(statevec.bitstring(idx, 3), 0) / shots
+            freq = table.counts[idx] / shots
             bound = 5 * np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) <= bound
 
@@ -138,3 +139,18 @@ def test_task_seed_distinct():
     seeds = {statevec.task_seed(7, i) for i in range(100)}
     assert len(seeds) == 100
     assert statevec.task_seed(7, 3) == statevec.task_seed(7, 3)
+
+
+def test_apply_gate_mutates_and_returns_its_buffer():
+    n = 4
+    gates = [cg.x(0), cg.h(1), cg.rx(0.3, 2), cg.ry(0.4, 3), cg.rz(0.5, 0),
+             cg.cnot(0, 3), cg.swap(1, 2), cg.toffoli(0, 1, 3), cg.cry(0.6, 2, 1),
+             cg.mcry(0.7, [0, 1, 3], 2, polarity=0), cg.mcry(0.8, [1, 3], 0),
+             cg.pauli_x_exp(0.9, [0, 2, 3])]
+    assert {g.kind for g in gates} == cg.KINDS
+    rng = np.random.default_rng(4)
+    for gate in gates:
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        before = amps.copy()
+        assert statevec.apply_gate(amps, gate, n) is amps
+        assert not np.array_equal(amps, before)
