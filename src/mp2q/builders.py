@@ -42,6 +42,21 @@ def subset_moebius(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def fwht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform: out[k] = sum over m of
+    (-1)^popcount(k & m) values[m]. Applied twice it multiplies by the length."""
+    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+    q = (a.size - 1).bit_length()
+    if a.size != 1 << q:
+        raise ValueError("length must be a power of two")
+    for b in range(q):
+        v = a.reshape(-1, 2, 1 << b)
+        lo = v[:, 0, :].copy()
+        v[:, 0, :] += v[:, 1, :]
+        v[:, 1, :] = lo - v[:, 1, :]
+    return a
+
+
 @dataclass(frozen=True)
 class AngleTable:
     """Rotation angles of U_E, one per control bitmask.

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import statevec
-from .builders import (AngleTable, PipelineSpec, build_pipeline, build_uint,
-                       default_base_state, default_c_e, solve_angles)
+from .builders import (default_base_state, default_c_e, fwht, ratio_table,
+                       solve_angles)
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
@@ -81,23 +81,50 @@ class RegressionFit:
     plateau: bool = False
 
 
-def _sweep_row(block: EriBlock, angles: AngleTable, config: SweepConfig,
-               base: int, step: int) -> SweepRow:
-    lam = step * config.lambda_step
+def _uint_spectrum(block: EriBlock, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hadamard-basis form of the U_INT generator V = sum_m gamma[m ^ y] X^m.
+
+    The X-strings commute and X^m|h_k> = (-1)^popcount(m & k)|h_k> on the
+    Hadamard basis |h_k> = H^Q|k>, so V has eigenvalues d = fwht(gamma[m ^ y])
+    and <h_k|y> carries the sign (-1)^popcount(k & y). Returns (d, signs)."""
     q = block.n_qubits
-    if config.circuit == "uint":
-        circ, readout_bit = build_uint(block, lam, base), None
+    bad = np.flatnonzero(~np.isfinite(block.gamma))
+    if bad.size:
+        raise ValueError(f"gamma of code {int(bad[0]):0{q}b} is not finite")
+    if block.gamma[base] != 0.0:
+        raise NumericalError(f"base state {base:0{q}b} has nonzero gamma")
+    idx = np.arange(block.gamma.size)
+    return fwht(block.gamma[idx ^ base]), fwht(idx == base)
+
+
+def _sweep_row(spectrum: tuple[np.ndarray, np.ndarray], readout_weights: np.ndarray | None,
+               config: SweepConfig, base: int, step: int) -> SweepRow:
+    """One sweep row in closed form: the register amplitudes of
+    exp(i*lambda*V)|y> are fwht(exp(i*lambda*d) * signs) / 2^Q, and U_E moves
+    register outcome x to readout 1 with probability readout_weights[x]
+    (None: the U_INT circuit alone, no readout qubit)."""
+    lam = step * config.lambda_step
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    d, signs = spectrum
+    psi = fwht(np.exp(1j * lam * d) * signs) / d.size
+    register = psi.real ** 2 + psi.imag ** 2
+    if readout_weights is None:
+        probs, readout_bit = register, None
     else:
-        circ, readout_bit = build_pipeline(PipelineSpec(block, lam, base), angles), q
-    state = statevec.run_circuit(circ)
+        readout_bit = (d.size - 1).bit_length()
+        probs = np.concatenate([register * (1.0 - readout_weights),
+                                register * readout_weights])
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise NumericalError(f"row {step} probabilities sum to {total}")
     if config.mode == SAMPLED:
-        counts = statevec.sample_counts(state, config.shots, task_seed(config.seed, step))
+        counts = statevec.sample_counts(probs, config.shots, task_seed(config.seed, step))
         probs, fractions = None, counts.counts / counts.shots
     else:
-        counts, probs = None, statevec.probabilities(state)
-        fractions = probs
+        counts, fractions = None, probs
     idx = np.arange(fractions.size)
-    excited = (idx & ((1 << q) - 1)) != base
+    excited = (idx & (d.size - 1)) != base
     hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
     zeta = _ordered_sum(fractions[hit])
     zeta_signal = zeta if readout_bit is None else _ordered_sum(fractions[hit & excited])
@@ -112,11 +139,17 @@ def _ordered_sum(values: np.ndarray) -> float:
 
 def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
                     base_state: int | None = None) -> SweepResult:
-    """Sweep lambda over the grid for one block; deterministic per (seed, step)."""
+    """Sweep lambda over the grid for one block; deterministic per (seed, step).
+
+    Rows are the closed form of the U_INT (and U_E) circuit of
+    builders.build_uint / build_pipeline, which stay as its test oracle."""
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
     angles = solve_angles(block, c_e=c_e)
     base = default_base_state(block) if base_state is None else base_state
-    rows = [_sweep_row(block, angles, config, base, s) for s in range(config.n_rows())]
+    spectrum = _uint_spectrum(block, base)
+    # U_E rotates the readout of register input x by the target angle T_x
+    weights = None if config.circuit == "uint" else np.sin(angles.targets / 2) ** 2
+    rows = [_sweep_row(spectrum, weights, config, base, s) for s in range(config.n_rows())]
     readout = None if config.circuit == "uint" else block.n_qubits
     return SweepResult(part or "block", c_e, base, block.n_qubits, readout,
                        config.mode, rows)
@@ -305,21 +338,21 @@ def auto_lambda_max(block: EriBlock, c_e: float | None = None,
     """Sweep range keeping the quartic fit bias near target_bias (relative).
 
     The fitted slope over [0, L] in lambda^2 is S + R*L + O(L^2), with S and R
-    computable from the dense interaction generator; lambda_max^2 * max gamma^2
-    never exceeds cap."""
-    from .builders import ratio_table, uint_generator
-
+    computable from column y of V, V^2 and V^3; lambda_max^2 * max gamma^2
+    never exceeds cap. Column y of V^k is fwht(d^k)[x ^ y] / 2^Q for the
+    Hadamard-basis eigenvalues d of V (builders.uint_generator is the dense
+    form)."""
     if c_e is None:
         c_e = default_c_e(block)
     kappa = ratio_table(block, c_e)
     y = default_base_state(block)
-    v = uint_generator(block, y)
-    v2 = v @ v
-    v3 = v2 @ v
-    size = block.gamma.size
-    s_lin = sum(v[x, y] ** 2 * kappa[x] for x in range(size) if x != y)
-    r_quart = abs(sum(kappa[x] * (v2[x, y] ** 2 / 4 - v[x, y] * v3[x, y] / 3)
-                      for x in range(size) if x != y))
+    d, _ = _uint_spectrum(block, y)
+    permute = np.arange(d.size) ^ y
+    v, v2, v3 = (fwht(d ** k)[permute] / d.size for k in (1, 2, 3))
+    excited = permute != 0
+    s_lin = float(np.sum(v[excited] ** 2 * kappa[excited]))
+    r_quart = abs(float(np.sum(kappa[excited] * (v2[excited] ** 2 / 4
+                                                 - v[excited] * v3[excited] / 3))))
     if s_lin == 0.0:
         raise NumericalError("block has no linear response (all gamma zero?)")
     l_cap = cap / float(np.max(np.abs(block.gamma)) ** 2)
@@ -400,7 +433,7 @@ def estimate_helium(data: HartreeFockData, mode: str = EXACT, shots: int = 100_0
         config = SweepConfig(lambda_step=step, total_steps=total, shots=shots,
                              seed=seed, mode=mode, start_candidates=start_candidates,
                              c_e=None if c_e is None else c_e.get(part))
-        sweep = run_sweep(data, part, config)
+        sweep = run_block_sweep(blocks[part], config, part)
         selection = select_start_step(sweep, step, total)
         fits[part] = selection.best
         c_es[part] = sweep.c_e

@@ -36,6 +36,10 @@ class HartreeFockData:
             raise SchemaError("mo_coefficients must be N x N")
         if self.eri_mo.shape != (n, n, n, n):
             raise SchemaError("eri_mo must be N^4")
+        for name in ("orbital_energies", "mo_coefficients", "eri_mo", "eri_ao"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                raise SchemaError(f"{name} has non-finite entries")
         dev = np.max(np.abs(self.eri_mo - self.eri_mo.transpose(2, 3, 0, 1)))
         if dev > SYMMETRY_TOL:
             raise SchemaError(f"eri_mo violates <ab|rs> = <rs|ab> by {dev:.3e}")

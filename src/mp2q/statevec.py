@@ -122,7 +122,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         amps = apply_gate(amps, gate, state.n_qubits)
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:   # NaN fails too
         raise FloatingPointError(f"statevector norm drifted to {norm}")
     return StateVector(state.n_qubits, amps)
 
@@ -136,11 +136,11 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> CountsTable:
-    """Seeded multinomial draw from the exact outcome distribution."""
+def sample_counts(probs: np.ndarray, shots: int, seed: int) -> CountsTable:
+    """Seeded multinomial draw from an exact outcome distribution, indexed by
+    basis state (e.g. probabilities(state))."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = probabilities(state)
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.PCG64(seed))
     return CountsTable(shots, rng.multinomial(shots, probs), seed)

@@ -8,7 +8,7 @@ from mp2q.builders import (PipelineSpec, TransRegisterPlan,
                            angles_from_targets, build_antisym_pipeline,
                            build_difference, build_pipeline, build_ue,
                            build_ue_naive, build_uint, build_uint_exact,
-                           build_utrans, default_base_state, default_c_e,
+                           build_utrans, default_base_state, default_c_e, fwht,
                            ratio_table, solve_angles, subset_moebius,
                            subset_zeta, uint_generator)
 from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
@@ -33,6 +33,20 @@ def test_subset_transforms_vs_brute_force():
         v = rng.normal(size=1 << q)
         assert np.allclose(subset_zeta(v), brute_subset_sum(v), atol=1e-13)
         assert np.allclose(subset_moebius(subset_zeta(v)), v, atol=1e-13)
+
+
+def test_fwht_vs_hadamard_matrix():
+    rng = np.random.default_rng(3)
+    for q in (0, 1, 3, 5):
+        n = 1 << q
+        k, m = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        hadamard = (-1.0) ** np.vectorize(lambda b: bin(b).count("1"))(k & m)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.allclose(fwht(v), hadamard @ v, atol=1e-12)
+        assert np.allclose(fwht(fwht(v.real)), n * v.real, atol=1e-12)
+        assert fwht(v.real).dtype == float
+    with pytest.raises(ValueError):
+        fwht(np.zeros(6))
 
 
 def test_solve_angles_one_bit():
@@ -258,13 +272,17 @@ def test_uint_exact_rejects_zero_vector():
 
 
 def test_utrans_lambda_zero_identity():
+    # seeded random states, not the dense 2^12 x 2^12 unitary (~840 MB peak)
     plan = TransRegisterPlan(n_ao=2, n_mo=2, n_occupied=1)
     rng = np.random.default_rng(1)
     c = rng.normal(size=(2, 2))
     circ = build_utrans(c, 0.0, plan)
-    u = unitary_of(circ) if circ.n_qubits <= 12 else None
-    if u is not None:
-        assert np.max(np.abs(u - np.eye(1 << circ.n_qubits))) < 1e-12
+    dim = 1 << circ.n_qubits
+    for _ in range(3):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        out = statevec.apply_circuit(statevec.StateVector(circ.n_qubits, psi.copy()), circ)
+        assert np.max(np.abs(out.amplitudes - psi)) < 1e-12
 
 
 def test_utrans_identity_coefficients_mirror():

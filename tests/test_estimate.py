@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_block
 from mp2q import builders, estimate, statevec
@@ -10,6 +11,7 @@ from mp2q.estimate import (SweepConfig, SweepResult, SweepRow,
                            correct_denominators, estimate_eri_slopes,
                            estimate_helium, fit_zeta, run_block_sweep,
                            run_sweep, select_start_step, ue_response_tables)
+from mp2q.hfdata import EriBlock
 from mp2q.mp2 import block_energy, mp2_energy
 
 
@@ -303,3 +305,126 @@ def test_paper_grid_config_accepted(helium):
         rows = result.parts[part].sweep.rows
         assert rows[1].lam == pytest.approx(step)
         assert len(rows) >= total
+
+
+def circuit_rows(block, config, base):
+    """Row probabilities from the gate-level simulator, the closed form's oracle."""
+    c_e = config.c_e if config.c_e is not None else default_c_e(block)
+    angles = builders.solve_angles(block, c_e=c_e)
+    out = []
+    for step in range(config.n_rows()):
+        lam = step * config.lambda_step
+        if config.circuit == "uint":
+            circ = builders.build_uint(block, lam, base)
+        else:
+            circ = builders.build_pipeline(builders.PipelineSpec(block, lam, base), angles)
+        out.append(statevec.probabilities(statevec.run_circuit(circ)))
+    return out
+
+
+def assert_rows_match_circuit(block, config, base=None, tol=1e-12):
+    sweep = run_block_sweep(block, config, base_state=base)
+    expected = circuit_rows(block, config, sweep.base_state)
+    assert len(sweep.rows) == len(expected)
+    for row, probs in zip(sweep.rows, expected):
+        assert row.probs.shape == probs.shape
+        assert np.max(np.abs(row.probs - probs)) <= tol
+
+
+@pytest.mark.parametrize("circuit", ["pipeline", "uint"])
+@pytest.mark.parametrize("part", ["I", "II", "III", "IV"])
+def test_rows_match_circuit_helium(helium_blocks, part, circuit):
+    # steps up to lambda = 1.2 reach well past the linear regime
+    cfg = SweepConfig(0.3, 3, start_candidates=2, circuit=circuit)
+    assert_rows_match_circuit(helium_blocks[part], cfg)
+
+
+@pytest.mark.parametrize("circuit", ["pipeline", "uint"])
+def test_rows_match_circuit_mirrored_base(helium_blocks, circuit):
+    y3 = default_base_state(helium_blocks["III"])
+    mirrored = 4 * (y3 % 4) + y3 // 4
+    assert mirrored != default_base_state(helium_blocks["II"])
+    cfg = SweepConfig(0.3, 3, start_candidates=1, circuit=circuit)
+    assert_rows_match_circuit(helium_blocks["II"], cfg, base=mirrored)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_rows_match_circuit_synthetic(q):
+    rng = np.random.default_rng([5, q])
+    blk = random_block(rng, n_codes=1 << q, gamma_max=0.3 * 4 / 2 ** (q / 2))
+    for circuit in ("pipeline", "uint"):
+        cfg = SweepConfig(0.5, 3, start_candidates=0, circuit=circuit)
+        assert_rows_match_circuit(blk, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_match_circuit_property(data):
+    q = data.draw(st.integers(1, 6), label="q")
+    n = 1 << q
+    gamma = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                               label="gamma"))
+    dens = -np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+                               label="denominators"))
+    base = data.draw(st.integers(0, n - 1), label="base")
+    gamma[base] = 0.0
+    lam = data.draw(st.floats(0.0, 2.0), label="lambda")
+    circuit = data.draw(st.sampled_from(["pipeline", "uint"]), label="circuit")
+    blk = EriBlock("H", (0, 0), tuple(range(n)), (0,), gamma, dens)
+    cfg = SweepConfig(lam, 2, start_candidates=0, circuit=circuit)
+    sweep = run_block_sweep(blk, cfg, base_state=base)
+    for row, probs in zip(sweep.rows, circuit_rows(blk, cfg, base)):
+        assert abs(row.probs.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(row.probs - probs)) <= 1e-12
+
+
+def dense_lambda_max(block, target_bias=0.005, cap=0.01):
+    """auto_lambda_max from dense powers of the uint_generator matrix."""
+    kappa = ratio_table(block, default_c_e(block))
+    y = default_base_state(block)
+    v = uint_generator(block, y)
+    v2 = v @ v
+    v3 = v2 @ v
+    others = [x for x in range(block.gamma.size) if x != y]
+    s_lin = sum(v[x, y] ** 2 * kappa[x] for x in others)
+    r_quart = abs(sum(kappa[x] * (v2[x, y] ** 2 / 4 - v[x, y] * v3[x, y] / 3)
+                      for x in others))
+    l_cap = cap / float(np.max(np.abs(block.gamma)) ** 2)
+    l_bias = target_bias * s_lin / r_quart if r_quart > 0 else l_cap
+    return float(np.sqrt(min(l_cap, l_bias)))
+
+
+def test_auto_lambda_max_matches_dense_generator(helium_blocks):
+    rng = np.random.default_rng(21)
+    blocks = [helium_blocks[p] for p in ("I", "II", "III", "IV")]
+    blocks += [random_block(rng, n_codes=1 << q, gamma_max=g)
+               for q in range(1, 9) for g in (0.05, 0.3, 2.0)]
+    for blk in blocks:
+        got = estimate.auto_lambda_max(blk)
+        assert got == pytest.approx(dense_lambda_max(blk), rel=1e-12, abs=0)
+
+
+def test_sweep_rejects_non_finite_gamma():
+    rng = np.random.default_rng(8)
+    blk = random_block(rng, zero_at=0)
+    blk.gamma[5] = np.nan
+    with pytest.raises(ValueError, match="0101"):
+        run_block_sweep(blk, SweepConfig(0.1, 3, start_candidates=0))
+
+
+def test_sweep_checks_base_state_and_lambda():
+    blk = random_block(np.random.default_rng(9), zero_at=2)
+    with pytest.raises(NumericalError):
+        run_block_sweep(blk, SweepConfig(0.1, 3, start_candidates=0), base_state=3)
+    for step in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            run_block_sweep(blk, SweepConfig(step, 3, start_candidates=0))
+
+
+def test_sweep_rejects_rows_that_do_not_sum_to_one():
+    # lambda * eigenvalue overflows to inf, so exp(i lambda d) and the row are NaN;
+    # NaN must fail the sum check
+    blk = random_block(np.random.default_rng(10), zero_at=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="probabilities sum to nan"):
+        run_block_sweep(blk, SweepConfig(1e308, 3, start_candidates=0))

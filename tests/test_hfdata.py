@@ -33,6 +33,22 @@ def test_load_toy_zero_eri(tmp_path):
     assert np.all(data.eri_mo == 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["orbital_energies", "mo_coefficients",
+                                   "eri_mo", "eri_ao"])
+def test_load_rejects_non_finite(tmp_path, field, bad):
+    # NaN compares false against every tolerance, so it must be caught by name
+    doc = minimal_doc(eri_ao={"format": "sparse", "data": []})
+    if field == "orbital_energies":
+        doc[field] = [-0.5, bad]
+    elif field == "mo_coefficients":
+        doc[field] = [[1.0, 0.0], [0.0, bad]]
+    else:
+        doc[field] = {"format": "sparse", "data": [[0, 0, 1, 1, bad], [1, 1, 0, 0, bad]]}
+    with pytest.raises(SchemaError, match=f"{field} has non-finite"):
+        hfdata.load(write_fixture(tmp_path, doc))
+
+
 def test_shipped_toy_fixture():
     from importlib import resources
 

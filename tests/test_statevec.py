@@ -91,31 +91,31 @@ def test_qubit_cap():
 
 def test_sample_deterministic_counts():
     state = statevec.run_circuit(Circuit(1, []))
-    table = statevec.sample_counts(state, 100, seed=1)
+    table = statevec.sample_counts(statevec.probabilities(state), 100, seed=1)
     assert table.counts.dtype == np.int64
     assert table.counts.tolist() == [100, 0]
 
 
 def test_sample_reproducible():
     state = statevec.run_circuit(Circuit(3, [cg.h(0), cg.h(1), cg.cnot(0, 2)]))
-    t1 = statevec.sample_counts(state, 5000, seed=42)
-    t2 = statevec.sample_counts(state, 5000, seed=42)
+    t1 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=42)
+    t2 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=42)
     assert np.array_equal(t1.counts, t2.counts)
-    t3 = statevec.sample_counts(state, 5000, seed=43)
+    t3 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=43)
     assert not np.array_equal(t3.counts, t1.counts)
 
 
 def test_sample_binomial_bound():
     state = statevec.run_circuit(Circuit(1, [cg.h(0)]))
     shots = 100_000
-    table = statevec.sample_counts(state, shots, seed=9)
+    table = statevec.sample_counts(statevec.probabilities(state), shots, seed=9)
     dev = abs(table.counts[0] - shots / 2)
     assert dev <= 3 * np.sqrt(shots * 0.25)
 
 
 def test_sample_counts_sum_invariant():
     state = statevec.run_circuit(Circuit(2, [cg.h(0), cg.ry(0.7, 1)]))
-    table = statevec.sample_counts(state, 12345, seed=5)
+    table = statevec.sample_counts(statevec.probabilities(state), 12345, seed=5)
     assert table.counts.sum() == 12345
 
 
@@ -126,7 +126,7 @@ def test_sample_frequency_convergence_many_seeds():
     probs = statevec.probabilities(state)
     shots = 20_000
     for seed in range(50):
-        table = statevec.sample_counts(state, shots, seed=seed)
+        table = statevec.sample_counts(probs, shots, seed=seed)
         for idx, p in enumerate(probs):
             if p < 1e-12:
                 continue
@@ -154,3 +154,10 @@ def test_apply_gate_mutates_and_returns_its_buffer():
         before = amps.copy()
         assert statevec.apply_gate(amps, gate, n) is amps
         assert not np.array_equal(amps, before)
+
+
+def test_apply_circuit_rejects_nan_state():
+    # abs(nan - 1) > tol is false, so the norm check must be written to fail on NaN
+    amps = np.full(4, np.nan, dtype=complex)
+    with pytest.raises(FloatingPointError):
+        statevec.apply_circuit(statevec.StateVector(2, amps), Circuit(2, []))
