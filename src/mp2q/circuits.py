@@ -173,9 +173,12 @@ class Circuit:
                           g.get("polarity", ONE_CONTROL)))
         return circ
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1)
+
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            fh.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "Circuit":

@@ -3,14 +3,17 @@ circuit lowering against a coupling map, and the denominator correction.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 All runs are deterministic given config + seed; a manifest listing input
-digests and outputs is written next to every pipeline run.
+and output digests is written next to every pipeline run. Every output file
+is written through `_publish`, so none is ever truncated in place.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import hashlib
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +31,30 @@ def _fmt(x: float) -> str:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _publish(path, text: str) -> None:
+    """Replace the file at `path` with `text`, never truncating it in place.
+
+    The text goes to a fresh sibling temp file; then the old file is unlinked
+    and the temp renamed onto its name. A reader sees the old file, the new
+    one or, for a moment, none, but never a partial one. Unlinking first is
+    what makes this fast: on ext4, truncating a non-empty file or renaming
+    over it frees its blocks while the caller waits (about 60 ms a file on a
+    2-core host), an unlinked file is freed later. A symlink at `path` is
+    replaced, not written through. On any error the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    # "x" never clobbers an existing file and keeps the mode 0o666 & ~umask
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        path.unlink(missing_ok=True)
+        os.rename(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_oracle(args) -> int:
@@ -83,11 +110,9 @@ def cmd_pipeline(args) -> int:
 
     out_dir = Path(args.out_dir or config.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_csv = out_dir / "sweep.csv"
-    fit_json = out_dir / "fits.json"
-    manifest_json = out_dir / "manifest.json"
-    _write_sweep_csv(sweep_csv, result)
-    _write_fit_json(fit_json, result, oracle, rel)
+    # render every file first, so a failure leaves the previous run's files intact
+    outputs = {out_dir / "sweep.csv": _render_sweep_csv(result),
+               out_dir / "fits.json": _render_fit_json(result, oracle, rel)}
     manifest = {
         "command": "pipeline",
         "tool_version": __version__,
@@ -98,33 +123,38 @@ def cmd_pipeline(args) -> int:
                    "start_candidates": start_candidates,
                    "c_e": c_e_cfg},
         "inputs": {str(hf_path): _sha256(hf_path)},
-        "outputs": [str(sweep_csv), str(fit_json)],
+        "outputs": [str(path) for path in outputs],
+        "output_sha256": {str(path): hashlib.sha256(text.encode("utf-8")).hexdigest()
+                          for path, text in outputs.items()},
     }
-    manifest_json.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    outputs[out_dir / "manifest.json"] = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    for path, text in outputs.items():
+        _publish(path, text)
     print(f"E2 = {_fmt(result.e2)} hartree")
     print(f"oracle = {_fmt(oracle)} hartree")
     print(f"relative error = {rel * 100:.4f}%")
     return 0
 
 
-def _write_sweep_csv(path, result: estimate.PipelineEstimate):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
-        for part, detail in sorted(result.parts.items()):
-            for row in detail.sweep.rows:
-                # exact mode writes each probability as the count, with shots 0
-                sampled = row.counts is not None
-                values = row.counts.counts if sampled else row.probs
-                width = values.size.bit_length() - 1
-                for i in np.flatnonzero(values > 0):
-                    w.writerow([part, row.step, _fmt(row.lam), _fmt(row.lam_sq),
-                                format(i, f"0{width}b"),
-                                values[i] if sampled else _fmt(values[i]),
-                                row.counts.shots if sampled else 0, _fmt(row.zeta)])
+def _render_sweep_csv(result: estimate.PipelineEstimate) -> str:
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
+    for part, detail in sorted(result.parts.items()):
+        for row in detail.sweep.rows:
+            # exact mode writes each probability as the count, with shots 0
+            sampled = row.counts is not None
+            values = row.counts.counts if sampled else row.probs
+            width = values.size.bit_length() - 1
+            for i in np.flatnonzero(values > 0):
+                w.writerow([part, row.step, _fmt(row.lam), _fmt(row.lam_sq),
+                            format(i, f"0{width}b"),
+                            values[i] if sampled else _fmt(values[i]),
+                            row.counts.shots if sampled else 0, _fmt(row.zeta)])
+    return fh.getvalue()
 
 
-def _write_fit_json(path, result: estimate.PipelineEstimate, oracle: float, rel: float):
+def _render_fit_json(result: estimate.PipelineEstimate, oracle: float, rel: float) -> str:
     doc = {"e2_hartree": result.e2, "oracle_e2_hartree": oracle,
            "relative_error": rel, "parts": {}}
     for part, detail in sorted(result.parts.items()):
@@ -138,7 +168,7 @@ def _write_fit_json(path, result: estimate.PipelineEstimate, oracle: float, rel:
             "c_e_hartree": detail.sweep.c_e,
             "epsilon_part_hartree": detail.epsilon,
         }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _coupling_from_arg(arg: str) -> CouplingMap:
@@ -161,7 +191,7 @@ def cmd_lower(args) -> int:
         return 2
     violations = validate_connectivity(lowered, coupling)
     out_path = Path(args.out or "lowered.json")
-    lowered.save(out_path)
+    _publish(out_path, lowered.to_json())
     report = {"violations": [[i, list(pair)] for i, pair in violations],
               "n_gates": len(lowered), "output": str(out_path)}
     if args.pack:
@@ -219,19 +249,20 @@ def cmd_correct(args) -> int:
             for row in csv.DictReader(fh):
                 theory[int(row["input"])] = float(row["value"])
     out_path = Path(args.out or "corrected.csv")
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["input", "raw_ratio", "corrected"]
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    header = ["input", "raw_ratio", "corrected"]
+    if theory is not None:
+        header += ["theory", "abs_dev"]
+    w.writerow(header)
+    for x in range(1 << q):
+        lo, hi = counts_all[x][x], counts_all[x][x | (1 << q)]
+        raw = hi / (lo + hi)
+        row = [x, _fmt(raw), _fmt(corrected[x])]
         if theory is not None:
-            header += ["theory", "abs_dev"]
-        w.writerow(header)
-        for x in range(1 << q):
-            lo, hi = counts_all[x][x], counts_all[x][x | (1 << q)]
-            raw = hi / (lo + hi)
-            row = [x, _fmt(raw), _fmt(corrected[x])]
-            if theory is not None:
-                row += [_fmt(theory[x]), _fmt(abs(corrected[x] - theory[x]))]
-            w.writerow(row)
+            row += [_fmt(theory[x]), _fmt(abs(corrected[x] - theory[x]))]
+        w.writerow(row)
+    _publish(out_path, fh.getvalue())
     print(json.dumps({"output": str(out_path),
                       "max_corrected": _fmt(float(np.max(corrected)))}, indent=1))
     return 0

@@ -1,13 +1,14 @@
 """Coupling maps: named layouts, JSON i/o, connectivity validation, and
-vertex-disjoint shape embedding for parallel gate packing."""
+vertex-disjoint shape embedding for parallel gate packing.
+
+networkx is imported only by the functions that match shapes, so importing
+mp2q (and running the pipeline) does not pay for it."""
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-
-import networkx as nx
 
 from .circuits import NATIVE_KINDS, Circuit
 
@@ -36,7 +37,9 @@ class CouplingMap:
         out = [b if a == q else a for a, b in self.edges if q in (a, b)]
         return sorted(out)
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> "networkx.Graph":
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_qubits))
         g.add_edges_from(sorted(self.edges))
@@ -143,6 +146,8 @@ def find_parallel_embeddings(coupling: CouplingMap, shape: CouplingMap, k: int) 
     """
     if shape.n_qubits > coupling.n_qubits or k <= 0:
         return []
+    import networkx as nx
+
     matcher = nx.algorithms.isomorphism.GraphMatcher(coupling.graph(), shape.graph())
     matches = []
     for mono in matcher.subgraph_monomorphisms_iter():
@@ -169,6 +174,8 @@ def pack_parallel_ue(coupling: CouplingMap, k: int) -> list[dict[int, int]]:
     chosen = find_parallel_embeddings(coupling, h_shape_7(), k)
     if len(chosen) == k:
         return chosen
+    import networkx as nx
+
     used = {q for emb in chosen for q in emb.values()}
     relay = h_shape_9()
     matcher = nx.algorithms.isomorphism.GraphMatcher(coupling.graph(), relay.graph())

@@ -49,20 +49,35 @@ class HartreeFockData:
         return list(range(self.n_occupied, self.n_orbitals))
 
 
-def _tensor_from_schema(node: dict, n: int) -> np.ndarray:
+def _is_int(value) -> bool:
+    """A JSON integer: floats are rejected, not truncated; bools are not ints here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tensor_from_schema(node: dict, n: int, name: str) -> np.ndarray:
     fmt = node.get("format")
     if fmt == "dense":
         arr = np.asarray(node["data"], dtype=float)
         if arr.shape != (n, n, n, n):
-            raise SchemaError(f"dense ERI has shape {arr.shape}, expected {(n,) * 4}")
+            raise SchemaError(f"dense {name} has shape {arr.shape}, expected {(n,) * 4}")
         return arr
     if fmt == "sparse":
         arr = np.zeros((n, n, n, n))
-        for entry in node["data"]:
-            a, b, r, s, val = entry
-            arr[int(a), int(b), int(r), int(s)] = float(val)
+        for k, entry in enumerate(node["data"]):
+            where = f"{name} sparse entry {k} {entry!r}"
+            if not isinstance(entry, list) or len(entry) != 5:
+                raise SchemaError(f"{where}: expected [a, b, r, s, value]")
+            *index, val = entry
+            for i in index:
+                # a negative index would wrap around, a float would be truncated
+                if not (_is_int(i) and 0 <= i < n):
+                    raise SchemaError(f"{where}: index {i!r} is not an integer in 0..{n - 1}")
+            try:
+                arr[tuple(index)] = float(val)
+            except (TypeError, ValueError):
+                raise SchemaError(f"{where}: value {val!r} is not a number") from None
         return arr
-    raise SchemaError(f"unknown ERI format {fmt!r}")
+    raise SchemaError(f"unknown {name} format {fmt!r}")
 
 
 def load(path) -> HartreeFockData:
@@ -73,18 +88,21 @@ def load(path) -> HartreeFockData:
                 "orbital_energies", "mo_coefficients", "eri_mo"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    for key in ("n_orbitals", "n_occupied"):
+        if not (_is_int(doc[key]) and doc[key] >= 0):
+            raise SchemaError(f"{key} must be a non-negative integer, got {doc[key]!r}")
     if doc["units"] != "hartree":
         raise SchemaError(f"units must be 'hartree', got {doc['units']!r}")
     if doc["notation"] != "physicist":
         raise SchemaError(f"notation must be 'physicist', got {doc['notation']!r}")
-    n = int(doc["n_orbitals"])
-    eri_ao = _tensor_from_schema(doc["eri_ao"], n) if "eri_ao" in doc else None
+    n = doc["n_orbitals"]
+    eri_ao = _tensor_from_schema(doc["eri_ao"], n, "eri_ao") if "eri_ao" in doc else None
     return HartreeFockData(
         n_orbitals=n,
-        n_occupied=int(doc["n_occupied"]),
+        n_occupied=doc["n_occupied"],
         orbital_energies=np.asarray(doc["orbital_energies"], dtype=float),
         mo_coefficients=np.asarray(doc["mo_coefficients"], dtype=float),
-        eri_mo=_tensor_from_schema(doc["eri_mo"], n),
+        eri_mo=_tensor_from_schema(doc["eri_mo"], n, "eri_mo"),
         eri_ao=eri_ao,
     )
 
@@ -132,6 +150,13 @@ class EriBlock:
         size = len(self.r_orbitals) * len(self.s_orbitals)
         if self.gamma.shape != (size,) or self.denominators.shape != (size,):
             raise ValueError(f"gamma/denominators must have length {size}")
+        # -inf marks a padded slot; NaN or +inf would pass for one in np.isfinite
+        bad = np.flatnonzero(~np.isfinite(self.gamma) | ~(self.denominators < np.inf))
+        if bad.size:
+            code = int(bad[0])
+            raise ValueError(f"{self.label} code {code}: gamma {self.gamma[code]} and "
+                             f"denominator {self.denominators[code]} must be finite "
+                             f"(denominator -inf for a padded slot)")
 
     @property
     def n_r_qubits(self) -> int:

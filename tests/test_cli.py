@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import os
+import types
 
 import numpy as np
 import pytest
 
-from mp2q import circuits as cg, hfdata, mp2
+from mp2q import circuits as cg, cli, hfdata, mp2
 from mp2q.circuits import Circuit
 from mp2q.builders import build_ue, default_c_e, ratio_table, solve_angles
 from mp2q.cli import main
@@ -47,6 +49,20 @@ def test_oracle_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_orbitals": 2}))
     assert main(["oracle", "--hf-data", str(path)]) == 2
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, 3])
+def test_oracle_bad_sparse_index_exits_2(tmp_path, capsys, index):
+    # before, -1 wrapped around and 1.5 was truncated (exit 0); 3 raised IndexError
+    doc = {"n_orbitals": 3, "n_occupied": 1, "units": "hartree",
+           "notation": "physicist", "orbital_energies": [-1.0, 0.5, 0.8],
+           "mo_coefficients": np.eye(3).tolist(),
+           "eri_mo": {"format": "sparse", "data": [[0, 0, index, 2, 0.1]]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--hf-data", str(path), "--formula", "closed-shell"]) == 2
+    assert f"eri_mo sparse entry 0 [0, 0, {index}, 2, 0.1]: index {index}" in \
+        capsys.readouterr().err
 
 
 def test_oracle_zero_denominator_exit_3(tmp_path, capsys):
@@ -124,6 +140,70 @@ def test_pipeline_outputs_pinned(tmp_path, capsys, helium_path, mode):
     assert digests == PINNED_DIGESTS[mode]
 
 
+OUTPUTS = ["fits.json", "manifest.json", "sweep.csv"]
+
+
+def _snapshot(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+def test_pipeline_rerun_replaces_outputs(tmp_path, capsys, helium_path):
+    args = ["pipeline", "--hf-data", helium_path, "--mode", "exact", "--parts", "IV",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    first = _snapshot(tmp_path)
+    assert main(args) == 0
+    # no temp file is left behind, and a rerun gives the same bytes
+    assert sorted(first) == OUTPUTS
+    assert _snapshot(tmp_path) == first
+    manifest = json.loads(first["manifest.json"])
+    assert manifest["output_sha256"] == {
+        str(tmp_path / name): hashlib.sha256(first[name]).hexdigest()
+        for name in ("sweep.csv", "fits.json")}
+
+
+def test_pipeline_render_failure_keeps_previous_outputs(tmp_path, capsys, helium_path,
+                                                        monkeypatch):
+    base = ["pipeline", "--hf-data", helium_path, "--mode", "exact",
+            "--out-dir", str(tmp_path)]
+    assert main([*base, "--parts", "IV"]) == 0
+    first = _snapshot(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("rendering failed")
+
+    # fits.json is rendered with json.dumps; sweep.csv of these parts would differ
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=fail))
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        main([*base, "--parts", "I,IV"])
+    assert _snapshot(tmp_path) == first
+
+
+def test_pipeline_rename_failure_removes_temp(tmp_path, capsys, helium_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "rename", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        main(["pipeline", "--hf-data", helium_path, "--mode", "exact", "--parts", "IV",
+              "--out-dir", str(tmp_path)])
+    assert os.listdir(tmp_path) == []
+
+
+def test_publish_mode_and_symlink(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    cli._publish(link, "new\r\n")
+    # the link itself is replaced; the file it pointed to is left alone
+    assert not link.is_symlink() and link.read_bytes() == b"new\r\n"
+    assert target.read_text() == "old\n"
+    assert (link.stat().st_mode & 0o777) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
 @pytest.mark.parametrize("command", ["oracle", "pipeline"])
 def test_nan_eri_exits_2(tmp_path, capsys, helium_path, command):
     # <1s 1s|2s 2s> is a used ERI of part I; NaN must not reach an exit-0 result
@@ -150,6 +230,9 @@ def test_lower_ue_on_h_shape(tmp_path, capsys, helium_path):
     assert report["violations"] == []
     lowered = Circuit.load(out_path)
     assert all(g.kind in cg.NATIVE_KINDS for g in lowered.gates)
+    # --out holds the bytes Circuit.save writes
+    lowered.save(tmp_path / "saved.json")
+    assert out_path.read_bytes() == (tmp_path / "saved.json").read_bytes()
 
 
 def test_lower_flags_violation(tmp_path, capsys):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mp2q
 
 from mp2q import circuits as cg
 from mp2q.circuits import Circuit
@@ -91,3 +97,14 @@ def test_h_shape_9_is_relay_layout():
     hs9 = h_shape_9()
     assert not hs9.has_edge(4, 5) and not hs9.has_edge(4, 6)
     assert hs9.has_edge(4, 7) and hs9.has_edge(4, 8)
+
+
+def test_cli_import_does_not_load_networkx():
+    # networkx is about half of `import mp2q.cli`; only shape matching needs it
+    src = str(Path(mp2q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mp2q.cli; assert 'networkx' not in sys.modules, 'networkx loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

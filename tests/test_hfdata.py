@@ -49,6 +49,32 @@ def test_load_rejects_non_finite(tmp_path, field, bad):
         hfdata.load(write_fixture(tmp_path, doc))
 
 
+@pytest.mark.parametrize("entry, reason", [
+    ([0, 0, -1, 1, 0.1], "index -1 is not an integer in 0..1"),   # wrapped around
+    ([0, 0, 1.5, 1, 0.1], "index 1.5 is not an integer"),          # truncated to 1
+    ([0, 0, 1.0, 1, 0.1], "index 1.0 is not an integer"),
+    ([0, 0, 2, 1, 0.1], "index 2 is not an integer in 0..1"),      # IndexError
+    ([0, 0, True, 1, 0.1], "index True is not an integer"),
+    ([0, 0, 1, 0.1], "expected \\[a, b, r, s, value\\]"),
+    ([0, 0, 1, 1, "0.1x"], "value '0.1x' is not a number"),
+])
+@pytest.mark.parametrize("field", ["eri_mo", "eri_ao"])
+def test_load_rejects_bad_sparse_entry(tmp_path, field, entry, reason):
+    doc = minimal_doc(eri_ao={"format": "sparse", "data": []})
+    doc[field] = {"format": "sparse", "data": [[0, 0, 0, 0, 0.2], entry]}
+    with pytest.raises(SchemaError, match=f"{field} sparse entry 1 .*: {reason}"):
+        hfdata.load(write_fixture(tmp_path, doc))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_orbitals", 2.7), ("n_orbitals", 2.0), ("n_orbitals", "2"),
+    ("n_orbitals", -2), ("n_occupied", 1.5), ("n_occupied", True),
+])
+def test_load_rejects_non_integer_count(tmp_path, key, value):
+    with pytest.raises(SchemaError, match=f"{key} must be a non-negative integer"):
+        hfdata.load(write_fixture(tmp_path, minimal_doc(**{key: value})))
+
+
 def test_shipped_toy_fixture():
     from importlib import resources
 
@@ -229,3 +255,19 @@ def test_partition_rejects_double_cover(helium):
                                              ("B", (1, 2), (2, 3))))
     with pytest.raises(ValueError):
         hfdata.partition(helium, scheme)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", np.nan), ("gamma", np.inf), ("gamma", -np.inf),
+    ("denominators", np.nan), ("denominators", np.inf),
+])
+def test_eri_block_rejects_non_finite(field, value):
+    # np.isfinite cannot tell NaN or +inf from the -inf of a padded slot, so
+    # builders.ratio_table would give such a slot kappa = 0 and sweep on
+    arrays = {"gamma": np.array([0.0, 0.1, 0.2, 0.3]),
+              "denominators": np.array([-1.0, -2.0, -3.0, -np.inf])}
+    arrays[field][2] = value
+    with pytest.raises(ValueError, match="code 2"):
+        hfdata.EriBlock("B", (0, 0), (1, 2), (1, 2), **arrays)
+    arrays[field][2] = {"gamma": 0.2, "denominators": -np.inf}[field]  # -inf: padding
+    hfdata.EriBlock("B", (0, 0), (1, 2), (1, 2), **arrays)
