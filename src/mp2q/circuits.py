@@ -7,6 +7,7 @@ significant qubit first (qubit n-1 is the leftmost character).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ class Gate:
         if self.polarity not in (ZERO_CONTROL, ONE_CONTROL):
             raise ValueError(f"polarity must be 0 or 1, got {self.polarity}")
         if self.kind in ROTATION_KINDS or self.kind == PAULI_X_EXP:
-            if self.angle is None or not np.isfinite(self.angle):
+            if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
 
     @property
@@ -135,7 +136,8 @@ class Circuit:
             self._check(g)
 
     def _check(self, gate: Gate):
-        if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
+        qs = gate.qubits
+        if qs and (min(qs) < 0 or max(qs) >= self.n_qubits):
             raise ValueError(f"gate {gate.kind} operands {gate.qubits} outside 0..{self.n_qubits - 1}")
 
     def add(self, gate: Gate) -> "Circuit":

@@ -1,7 +1,7 @@
 """Command-line front end: oracle evaluation, the sweep/fit/assembly pipeline,
 circuit lowering against a coupling map, and the denominator correction.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation or I/O failure, 3 numerical failure.
 All runs are deterministic given config + seed; a manifest listing input
 and output digests is written next to every pipeline run. Every output file
 is written through `_publish`, so none is ever truncated in place.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, estimate, hfdata, lowering, mp2
 from .circuits import Circuit
-from .coupling import CouplingMap, named_map, validate_connectivity
+from .coupling import CouplingMap, named_map, pack_parallel_ue, validate_connectivity
 from .errors import LoweringError, NumericalError, SchemaError
 
 
@@ -195,8 +195,6 @@ def cmd_lower(args) -> int:
     report = {"violations": [[i, list(pair)] for i, pair in violations],
               "n_gates": len(lowered), "output": str(out_path)}
     if args.pack:
-        from .coupling import pack_parallel_ue
-
         embeddings = pack_parallel_ue(coupling, args.pack)
         report["parallel_embeddings"] = [sorted(e.values()) for e in embeddings]
     print(json.dumps(report, indent=1))
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, LoweringError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (SchemaError, LoweringError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

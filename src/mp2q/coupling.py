@@ -1,13 +1,16 @@
 """Coupling maps: named layouts, JSON i/o, connectivity validation, and
 vertex-disjoint shape embedding for parallel gate packing.
 
-networkx is imported only by the functions that match shapes, so importing
-mp2q (and running the pipeline) does not pay for it."""
+Each map keeps an adjacency list of sets, built once on first use, for the
+edge and neighbour queries of lowering. Shapes are matched by a built-in
+backtracking search (`_monomorphisms`) over that adjacency; networkx is not
+needed at run time and serves only as the reference in the tests."""
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .circuits import NATIVE_KINDS, Circuit
@@ -30,20 +33,21 @@ class CouplingMap:
     def from_edges(cls, n_qubits: int, edges, name: str = "") -> "CouplingMap":
         return cls(n_qubits, frozenset(tuple(sorted(e)) for e in edges), name)
 
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbour set of each qubit (cached on the instance, which is
+        frozen, so it cannot go stale)."""
+        adj = [set() for _ in range(self.n_qubits)]
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return tuple(map(frozenset, adj))
+
     def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
+        return 0 <= a < self.n_qubits and b in self.adjacency[a]
 
     def neighbors(self, q: int) -> list[int]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return sorted(out)
-
-    def graph(self) -> "networkx.Graph":
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_qubits))
-        g.add_edges_from(sorted(self.edges))
-        return g
+        return sorted(self.adjacency[q]) if 0 <= q < self.n_qubits else []
 
     def to_dict(self) -> dict:
         return {"name": self.name, "n_qubits": self.n_qubits,
@@ -138,27 +142,62 @@ def validate_connectivity(circuit: Circuit, coupling: CouplingMap) -> list[tuple
     return violations
 
 
-def find_parallel_embeddings(coupling: CouplingMap, shape: CouplingMap, k: int) -> list[dict[int, int]]:
-    """Up to k vertex-disjoint monomorphic embeddings of shape into coupling.
+def _monomorphisms(host: CouplingMap, shape: CouplingMap):
+    """Every injective map of the shape's qubits into the host's that sends
+    each shape edge onto a host edge, as tuples indexed by shape qubit (host
+    edges between images need not be shape edges). Each map comes once.
 
-    Greedy over matches enumerated in a deterministic (sorted) order; each
-    returned dict maps shape qubit -> coupling qubit. May return fewer than k.
-    """
-    if shape.n_qubits > coupling.n_qubits or k <= 0:
-        return []
-    import networkx as nx
-
-    matcher = nx.algorithms.isomorphism.GraphMatcher(coupling.graph(), shape.graph())
-    matches = []
-    for mono in matcher.subgraph_monomorphisms_iter():
-        embedding = {shape_q: phys for phys, shape_q in mono.items()}
-        matches.append(tuple(embedding[i] for i in range(shape.n_qubits)))
-    matches = sorted(set(matches))
-    chosen: list[dict[int, int]] = []
+    Backtracking search: the shape's qubits are placed in breadth-first order,
+    so every qubit but the first of its component has a placed neighbour. Its
+    candidates are that neighbour's host neighbours with at least its degree,
+    adjacent to the images of its other placed neighbours."""
+    hadj, sadj = host.adjacency, shape.adjacency
+    order: list[int] = []
+    i = 0
+    for root in range(shape.n_qubits):
+        if root not in order:
+            order.append(root)
+            while i < len(order):
+                order.extend(sorted(sadj[order[i]] - set(order)))
+                i += 1
+    slots = [(v, [u for u in order[:pos] if u in sadj[v]], len(sadj[v]))
+             for pos, v in enumerate(order)]
+    image = [0] * shape.n_qubits
     used: set[int] = set()
-    for m in matches:
+
+    def extend(i):
+        if i == len(slots):
+            yield tuple(image)
+            return
+        v, placed, degree = slots[i]
+        for p in hadj[image[placed[0]]] if placed else range(host.n_qubits):
+            if (p in used or len(hadj[p]) < degree
+                    or any(image[u] not in hadj[p] for u in placed[1:])):
+                continue
+            image[v] = p
+            used.add(p)
+            yield from extend(i + 1)
+            used.discard(p)
+
+    return extend(0)
+
+
+def find_parallel_embeddings(coupling: CouplingMap, shape: CouplingMap, k: int,
+                             avoid=frozenset()) -> list[dict[int, int]]:
+    """Up to k vertex-disjoint monomorphic embeddings of shape into coupling,
+    none touching a qubit in `avoid`.
+
+    Greedy over all matches in sorted order (by the image of shape qubit 0,
+    then 1, ...); each returned dict maps shape qubit -> coupling qubit. May
+    return fewer than k.
+    """
+    chosen: list[dict[int, int]] = []
+    if shape.n_qubits > coupling.n_qubits or k <= 0:
+        return chosen
+    used = set(avoid)
+    for m in sorted(_monomorphisms(coupling, shape)):
         if used.isdisjoint(m):
-            chosen.append({i: q for i, q in enumerate(m)})
+            chosen.append(dict(enumerate(m)))
             used.update(m)
             if len(chosen) == k:
                 break
@@ -172,20 +211,5 @@ def pack_parallel_ue(coupling: CouplingMap, k: int) -> list[dict[int, int]]:
     On the 27-qubit heavy-hex lattice this packs three (two standard plus one
     relay), leaving four qubits idle."""
     chosen = find_parallel_embeddings(coupling, h_shape_7(), k)
-    if len(chosen) == k:
-        return chosen
-    import networkx as nx
-
     used = {q for emb in chosen for q in emb.values()}
-    relay = h_shape_9()
-    matcher = nx.algorithms.isomorphism.GraphMatcher(coupling.graph(), relay.graph())
-    matches = sorted({tuple(sorted(mono.items()))
-                      for mono in matcher.subgraph_monomorphisms_iter()})
-    for m in matches:
-        emb = {shape_q: phys for phys, shape_q in m}
-        if used.isdisjoint(emb.values()):
-            chosen.append(emb)
-            used.update(emb.values())
-            if len(chosen) == k:
-                break
-    return chosen
+    return chosen + find_parallel_embeddings(coupling, h_shape_9(), k - len(chosen), used)

@@ -97,7 +97,7 @@ def load(path) -> HartreeFockData:
         raise SchemaError(f"notation must be 'physicist', got {doc['notation']!r}")
     n = doc["n_orbitals"]
     eri_ao = _tensor_from_schema(doc["eri_ao"], n, "eri_ao") if "eri_ao" in doc else None
-    return HartreeFockData(
+    data = HartreeFockData(
         n_orbitals=n,
         n_occupied=doc["n_occupied"],
         orbital_energies=np.asarray(doc["orbital_energies"], dtype=float),
@@ -105,6 +105,15 @@ def load(path) -> HartreeFockData:
         eri_mo=_tensor_from_schema(doc["eri_mo"], n, "eri_mo"),
         eri_ao=eri_ao,
     )
+    # a ground-state reference fills the lowest orbitals; otherwise MP2
+    # denominators change sign (or vanish) and the "energies" are meaningless
+    eps, n_occ = data.orbital_energies, data.n_occupied
+    homo = int(np.argmax(eps[:n_occ]))
+    lumo = n_occ + int(np.argmin(eps[n_occ:]))
+    if not eps[homo] < eps[lumo]:
+        raise SchemaError(f"occupied orbital {homo} (energy {float(eps[homo])}) is not "
+                          f"below virtual orbital {lumo} (energy {float(eps[lumo])})")
+    return data
 
 
 def helium_fixture_path():

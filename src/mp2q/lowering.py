@@ -99,9 +99,12 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
 class _Planner:
     """Per-gate search for edge-respecting multi-controlled Ry realizations."""
 
-    def __init__(self, coupling: CouplingMap, free: set[int]):
+    def __init__(self, coupling: CouplingMap):
         self.coupling = coupling
-        self.free = free
+        # (c1, c2, a) -> Toffoli ladder and its inverse. A planner serves one
+        # `lower` call, in which every U_E mcry shares its controls, so the
+        # same ladders recur; Gate is frozen, so sharing them is safe.
+        self._ladders: dict[tuple[int, int, int], tuple[list[Gate], list[Gate]]] = {}
 
     def _relay_path(self, control: int, target: int, free: set[int]) -> list[int]:
         """BFS for control -> v1 -> ... -> vk with vi free and vk adjacent to target."""
@@ -166,8 +169,11 @@ class _Planner:
                 inner = self.plan(rest + (a,), target, theta, free - {a})
             except LoweringError:
                 continue
-            return (_toffoli_ladder(ci, cj, a) + inner
-                    + _toffoli_ladder_inverse(ci, cj, a))
+            key = (ci, cj, a)
+            if key not in self._ladders:
+                self._ladders[key] = (_toffoli_ladder(*key), _toffoli_ladder_inverse(*key))
+            ladder, inverse = self._ladders[key]
+            return ladder + inner + inverse
         return None
 
 
@@ -202,7 +208,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     free = set(range(coupling.n_qubits)) - set(layout.values())
     if ancilla_pool is not None:
         free &= set(ancilla_pool)
-    planner = _Planner(coupling, free)
+    planner = _Planner(coupling)
 
     out = Circuit(coupling.n_qubits)
     for g in placed.gates:

@@ -65,7 +65,9 @@ def test_oracle_bad_sparse_index_exits_2(tmp_path, capsys, index):
         capsys.readouterr().err
 
 
-def test_oracle_zero_denominator_exit_3(tmp_path, capsys):
+def test_oracle_occupied_above_virtual_exits_2(tmp_path, capsys):
+    # this input once reached a zero denominator (exit 3); with every occupied
+    # energy strictly below every virtual one, no loadable file can
     doc = {"n_orbitals": 3, "n_occupied": 1, "units": "hartree",
            "notation": "physicist",
            "orbital_energies": [-1.0, -0.5, -1.5],  # 2*eps0 - eps1 - eps2 = 0
@@ -73,7 +75,51 @@ def test_oracle_zero_denominator_exit_3(tmp_path, capsys):
            "eri_mo": {"format": "sparse", "data": [[0, 0, 1, 2, 0.1], [1, 2, 0, 0, 0.1]]}}
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(doc))
-    assert main(["oracle", "--hf-data", str(path), "--formula", "closed-shell"]) == 3
+    assert main(["oracle", "--hf-data", str(path), "--formula", "closed-shell"]) == 2
+    assert ("occupied orbital 0 (energy -1.0) is not below virtual orbital 2 "
+            "(energy -1.5)") in capsys.readouterr().err
+
+
+@pytest.fixture
+def raised_helium(tmp_path, helium_path):
+    """The helium fixture with orbital 0 raised above orbital 1."""
+    doc = json.loads(open(helium_path).read())
+    doc["orbital_energies"][0] = doc["orbital_energies"][1] + 0.1
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_oracle_rejects_raised_occupied(raised_helium, capsys):
+    # before, this printed positive per-part "energies" with exit 0
+    assert main(["oracle", "--hf-data", raised_helium]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "occupied orbital 0" in captured.err and "virtual orbital 1" in captured.err
+
+
+def test_pipeline_rejects_raised_occupied(tmp_path, raised_helium, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--hf-data", raised_helium, "--mode", "exact",
+                 "--parts", "IV", "--out-dir", str(out_dir)]) == 2
+    assert "occupied orbital 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_pipeline_overlarge_c_e_exits_3(tmp_path, capsys, helium_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hf_data": helium_path, "parts": ["IV"], "c_e": 10.0}))
+    assert main(["pipeline", "--config", str(cfg), "--mode", "exact",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "numerical error: C_e/|denominator| above 1" in capsys.readouterr().err
+
+
+def test_pipeline_out_dir_under_a_file_exits_2(tmp_path, capsys, helium_path):
+    # before, NotADirectoryError from mkdir ended in a traceback
+    (tmp_path / "afile").write_text("")
+    assert main(["pipeline", "--hf-data", helium_path, "--mode", "exact", "--parts", "IV",
+                 "--out-dir", str(tmp_path / "afile" / "sub")]) == 2
+    assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
 
 
 def test_pipeline_exact(tmp_path, capsys, helium_path):
@@ -184,9 +230,10 @@ def test_pipeline_rename_failure_removes_temp(tmp_path, capsys, helium_path, mon
         raise OSError("rename failed")
 
     monkeypatch.setattr(cli.os, "rename", fail)
-    with pytest.raises(OSError, match="rename failed"):
-        main(["pipeline", "--hf-data", helium_path, "--mode", "exact", "--parts", "IV",
-              "--out-dir", str(tmp_path)])
+    # the OSError reaches main, which reports it with exit 2
+    assert main(["pipeline", "--hf-data", helium_path, "--mode", "exact", "--parts", "IV",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "error: rename failed" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

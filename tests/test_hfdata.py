@@ -128,6 +128,29 @@ def test_rejects_bad_occupation(tmp_path):
         hfdata.load(write_fixture(tmp_path, minimal_doc(n_occupied=2)))
 
 
+@pytest.mark.parametrize("n_occupied, energies, occupied, virtual", [
+    (1, [0.6, 0.5], 0, 1),                 # occupied above the virtual
+    (1, [0.5, 0.5], 0, 1),                 # degenerate: a zero MP2 denominator
+    (1, [-1.0, -0.5, -1.5], 0, 2),         # below one virtual, above another
+    (2, [-1.0, 0.7, 0.6, 2.0], 1, 2),      # the highest occupied, the lowest virtual
+])
+def test_load_rejects_occupied_not_below_virtuals(tmp_path, n_occupied, energies,
+                                                  occupied, virtual):
+    n = len(energies)
+    doc = minimal_doc(n_orbitals=n, n_occupied=n_occupied, orbital_energies=energies,
+                      mo_coefficients=np.eye(n).tolist())
+    with pytest.raises(SchemaError, match=f"occupied orbital {occupied} .* is not below "
+                                          f"virtual orbital {virtual} "):
+        hfdata.load(write_fixture(tmp_path, doc))
+
+
+def test_load_rejects_helium_with_raised_occupied(tmp_path):
+    doc = json.loads(hfdata.helium_fixture_path().read_text())
+    doc["orbital_energies"][0] = doc["orbital_energies"][1] + 0.1
+    with pytest.raises(SchemaError, match="occupied orbital 0 .* virtual orbital 1 "):
+        hfdata.load(write_fixture(tmp_path, doc))
+
+
 def test_ao_to_mo_identity():
     rng = np.random.default_rng(7)
     t = rng.normal(size=(3, 3, 3, 3))

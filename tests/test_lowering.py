@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mp2q import circuits as cg
+from conftest import random_block
+from mp2q import builders, circuits as cg
 from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
-from mp2q.coupling import (CouplingMap, complete_map, h_shape_7, path_map,
+from mp2q.coupling import (CouplingMap, complete_map, h_shape_7, named_map, path_map,
                            validate_connectivity)
 from mp2q.errors import LoweringError
 from mp2q.lowering import (lower, lower_pauli_x_exp, restricted_unitary,
@@ -200,3 +203,66 @@ def test_lower_full_pipeline_semantics_preserved(helium_blocks):
     assert validate_connectivity(out, cm) == []
     sub = restricted_unitary(out, [0, 1, 2, 3, 4])
     assert max_phase_aligned_diff(sub, unitary_of(circ)) < 1e-9
+
+
+# SHA-256 of Circuit.to_json() for every helium part/circuit/shipped map that
+# lowers under the identity layout, plus a seeded Q=5 U_E; any change to the
+# emitted gates, their order or their angles shows here
+PINNED_LOWERED = {
+    "I.pipeline.complete-7": "1c7ed3a81891617a347580b229803e2a6cb3cbecc5201fb7a5c6529e167a730f",
+    "I.ue.complete-7": "274dec188e315ed8c84e7056bbc1738feb42f8ff75506d9376bb3b6a74900d5a",
+    "I.ue.h-shape-7": "24c295cc3b445176c2ed318453aeda3c08aeb832a0cf3b600db871ea49c39baa",
+    "I.ue.h-shape-9": "6ace33ca276dfb45e3423e80c99097fae8a4b984a7f65fbd72de2e25b3084419",
+    "I.uint.complete-5": "e5502eaecb5669a3074bfba34dfd312718baf6a6e699d03fbe57e5d041a588c1",
+    "I.uint.complete-7": "4469c568c09fdc3aff4c791ecce84922e1343efae3c3bf22290bc8aec13ce7c8",
+    "I.uint.grid-2x4": "d30d5c06c621d300db7b095985a4becdc439616b88db9c3bf8f5c7c032f37ba7",
+    "I.uint.ibm-27-heavy-hex": "6606f1767261ba652ed2c231e869431ff94667851831c91a9ee457a011ad96ca",
+    "I.uint.path-5": "e5502eaecb5669a3074bfba34dfd312718baf6a6e699d03fbe57e5d041a588c1",
+    "III.pipeline.complete-7": "604a280db578d63d3d4b69d8d03eea969bc4afce19e847e50e98ed72baf1e58f",
+    "III.ue.complete-7": "50f428dd712c6ea0be97fcd0f2d10abe92a5acac3d8fed8483cbc192eb5d7b0d",
+    "III.ue.h-shape-7": "c8dbed89c7ca42596d314d8cba292ac89f2e3c0e36cab3267f9173d9ed043562",
+    "III.ue.h-shape-9": "f20b8f1899757da530f568e433907c82cb0a1072bf6eb59baf533135603163bb",
+    "III.uint.complete-5": "d7d982909a812de3721ebb42f8aed02d33a059dd620fd1c4ca2ea362c0efaa13",
+    "III.uint.complete-7": "adf068f4e27c2f0749e612fd7036967fd900e5eb5046a5e0c771af32ec6b2d7b",
+    "III.uint.grid-2x4": "8ba707694d58dfb9d037c5a74f1e2b171498c295054a4acb1e0cd721ecd9412a",
+    "III.uint.ibm-27-heavy-hex": "9e7338403a9d7396529169246b3dd6822b863bd644b3d577639c15dfd12b06a5",
+    "III.uint.path-5": "d7d982909a812de3721ebb42f8aed02d33a059dd620fd1c4ca2ea362c0efaa13",
+    "IV.pipeline.complete-7": "df56db09994da5e1635541131260589a81b4dd68fd76074e02d207df352b061a",
+    "IV.ue.complete-7": "039a63e8ec39f63547b6507f884fbcf754c84055a2fc11643aeded5aa7c20ef1",
+    "IV.ue.h-shape-7": "8be5331fd8371d98ddfbe0712aed743d6ecd100f752430ad52301b8b96c2ceaa",
+    "IV.ue.h-shape-9": "db21cce0ec1c6aa3c458c6fa74d606d9e4af4b1bddcb48e00009ba5d9aef0cd0",
+    "IV.uint.complete-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
+    "IV.uint.complete-7": "d4756f28c0ed4147137e04821b93c036ec65259d459f86f2cb216bf08d82f315",
+    "IV.uint.grid-2x4": "6872ab310529c60239ddc2097f9f83252506170ef3b4a193bc7a2137cf7a7b4f",
+    "IV.uint.ibm-27-heavy-hex": "332dbc48cf39510377c220141c36093a42104bff14589fa5117ebb6a8c9597a0",
+    "IV.uint.path-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
+    "Q5.ue.complete-10": "1bc4d48e722105ec1d1e28ad884965d5bb01902b43f5cf1a916c5a99abed4762",
+}
+
+
+def _pinned_circuit(label, helium_blocks):
+    part, kind, _ = label.split(".", 2)
+    if part == "Q5":
+        return builders.build_ue(builders.solve_angles(
+            random_block(np.random.default_rng(5), n_codes=32)))
+    block = helium_blocks[part]
+    if kind == "uint":
+        return builders.build_uint(block, 0.1)
+    angles = builders.solve_angles(block)
+    if kind == "ue":
+        return builders.build_ue(angles)
+    return builders.build_pipeline(builders.PipelineSpec(block, 0.1), angles)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_LOWERED))
+def test_lowered_bytes_pinned(label, helium_blocks):
+    out = lower(_pinned_circuit(label, helium_blocks), named_map(label.split(".", 2)[2]))
+    assert hashlib.sha256(out.to_json().encode()).hexdigest() == PINNED_LOWERED[label]
+
+
+def test_ladders_not_shared_across_calls(helium_blocks):
+    # the Toffoli ladders are reused within one lower call, never across calls
+    ue = builders.build_ue(builders.solve_angles(helium_blocks["I"]))
+    first, second = lower(ue, h_shape_7()), lower(ue, h_shape_7())
+    assert first.gates == second.gates
+    assert not any(a is b for a, b in zip(first.gates, second.gates))
