@@ -213,21 +213,6 @@ def build_uint(block: EriBlock, lam: float, base_state: int | None = None,
     return circ
 
 
-def uint_generator(block: EriBlock, base_state: int) -> np.ndarray:
-    """Dense V with exp(i*lambda*V)|y> = U_INT(lambda)|0>; oracle for tests."""
-    q = block.n_qubits
-    dim = 1 << q
-    v = np.zeros((dim, dim))
-    for code in range(dim):
-        g = float(block.gamma[code])
-        if code == base_state or g == 0.0:
-            continue
-        mask = code ^ base_state
-        idx = np.arange(dim)
-        v[idx ^ mask, idx] += g
-    return v
-
-
 def build_uint_exact(gamma, register: list[int] | None = None) -> Circuit:
     """Exact amplitude preparation: |0> -> sum_x gamma_x/||gamma|| |x>.
 

@@ -75,10 +75,37 @@ def _load_config(path) -> dict:
         return json.load(fh)
 
 
-def _per_part(value, parts, cast=float) -> dict:
-    if isinstance(value, dict):
-        return {p: cast(value[p]) for p in parts}
-    return {p: cast(value) for p in parts}
+def _parts(args, config) -> list[str]:
+    """The helium parts to run, each known and named once."""
+    parts = (args.parts.split(",") if args.parts
+             else config.get("parts", list(estimate.HELIUM_PARTS)))
+    if not isinstance(parts, list) or not all(isinstance(p, str) for p in parts):
+        raise SchemaError(f"parts must be a list of part names, got {parts!r}")
+    known = ", ".join(estimate.HELIUM_PARTS)
+    for i, part in enumerate(parts):
+        if part not in estimate.HELIUM_PARTS:
+            raise SchemaError(f"unknown part {part!r} in parts; expected some of {known}")
+        if part in parts[:i]:
+            raise SchemaError(f"part {part!r} named twice in parts")
+    return parts
+
+
+def _per_part(config, key, default, parts, cast=float) -> dict:
+    """One value per part from config[key]: a scalar for every part, or an
+    object with an entry for each part."""
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        value = dict.fromkeys(parts, value)
+    out = {}
+    for part in parts:
+        if part not in value:
+            raise SchemaError(f"config key {key!r} has no entry for part {part!r}")
+        try:
+            out[part] = cast(value[part])
+        except (TypeError, ValueError):
+            raise SchemaError(f"config key {key!r}, part {part!r}: {value[part]!r} "
+                              f"is not a {cast.__name__}") from None
+    return out
 
 
 def cmd_pipeline(args) -> int:
@@ -87,20 +114,20 @@ def cmd_pipeline(args) -> int:
     if hf_path is None:
         raise SchemaError("pipeline needs --hf-data or an hf_data config entry")
     data = hfdata.load(hf_path)
-    parts = args.parts.split(",") if args.parts else config.get("parts", ["I", "III", "IV"])
+    parts = _parts(args, config)
     mode = args.mode or config.get("mode", estimate.EXACT)
     if mode == "exact":
         mode = estimate.EXACT
     seed = args.seed if args.seed is not None else int(config.get("seed", 7))
     shots = args.shots if args.shots is not None else int(config.get("shots", 100_000))
     defaults = estimate.DEFAULT_HELIUM_GRIDS[mode]
-    steps = _per_part(config.get("lambda_step", {p: defaults[p][0] for p in parts}), parts)
-    totals = _per_part(config.get("total_steps", {p: defaults[p][1] for p in parts}), parts, int)
+    steps = _per_part(config, "lambda_step", {p: defaults[p][0] for p in parts}, parts)
+    totals = _per_part(config, "total_steps", {p: defaults[p][1] for p in parts}, parts, int)
     start_candidates = int(config.get("start_candidates", 4))
     grids = {p: (steps[p], totals[p]) for p in parts}
-    multiplicity = {p: estimate.HELIUM_PARTS.get(p, 1) for p in parts}
+    multiplicity = {p: estimate.HELIUM_PARTS[p] for p in parts}
     c_e_cfg = config.get("c_e", "auto")
-    c_e = None if c_e_cfg == "auto" else _per_part(c_e_cfg, parts)
+    c_e = None if c_e_cfg == "auto" else _per_part(config, "c_e", None, parts)
 
     result = estimate.estimate_helium(data, mode=mode, shots=shots, seed=seed,
                                       grids=grids, parts=multiplicity,

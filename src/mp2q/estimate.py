@@ -315,18 +315,19 @@ def ue_response_tables(block: EriBlock, c_e: float | None = None,
     the synthetic error model is applied when diag_error=(delta0, delta1) is
     given.
 
-    With shots=None the tables hold exact expected weights (shots = 1)."""
-    from .builders import build_ue
-
+    U_E turns the readout of input x by T_x, so input x reads x with weight
+    cos^2(T_x/2) and x | 2^Q with weight sin^2(T_x/2); no circuit is simulated
+    (`builders.build_ue` is the test oracle). With shots=None the tables hold
+    exact expected weights (shots = 1)."""
     if c_e is None:
         c_e = default_c_e(block)
-    angles = solve_angles(block, c_e=c_e)
+    half = solve_angles(block, c_e=c_e).targets / 2
     q = block.n_qubits
-    circ = build_ue(angles)
     tables = {}
     for x in range(1 << q):
-        state = statevec.apply_circuit(statevec.basis_state(q + 1, x), circ)
-        probs = statevec.probabilities(state)
+        probs = np.zeros(2 << q)
+        probs[x] = np.cos(half[x]) ** 2
+        probs[x | (1 << q)] = np.sin(half[x]) ** 2
         if diag_error is not None:
             probs = apply_diagonal_error(probs, diag_error[0], diag_error[1], q)
         tables[x] = probs * (shots if shots is not None else 1.0)
@@ -340,8 +341,8 @@ def auto_lambda_max(block: EriBlock, c_e: float | None = None,
     The fitted slope over [0, L] in lambda^2 is S + R*L + O(L^2), with S and R
     computable from column y of V, V^2 and V^3; lambda_max^2 * max gamma^2
     never exceeds cap. Column y of V^k is fwht(d^k)[x ^ y] / 2^Q for the
-    Hadamard-basis eigenvalues d of V (builders.uint_generator is the dense
-    form)."""
+    Hadamard-basis eigenvalues d of V, the generator with
+    exp(i*lambda*V)|y> = U_INT(lambda)|0>."""
     if c_e is None:
         c_e = default_c_e(block)
     kappa = ratio_table(block, c_e)

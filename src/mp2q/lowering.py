@@ -1,10 +1,14 @@
 """Lowering to the native gate set {Rx, Ry, Rz, X, H, CNOT} under a coupling map.
 
-Multi-controlled Ry gates are compressed with Toffoli pairs onto ancillas
-(V-chain style), relayed through free qubits where adjacency is missing, and
-finished with a 4-CNOT two-control multiplexor. A Toffoli pair whose controls
-are untouched in between needs no control-control CNOTs, so controls never
-have to be adjacent to each other; SWAP gates are never emitted.
+A run of consecutive ry/cry/mcry gates on one target, all controlled gates of
+one polarity, commutes, so it is one uniformly controlled Ry: a Gray-code
+multiplexor of 2^k Ry gates and 2^k CNOTs onto the target for k distinct
+controls (Moettoenen et al., PRL 93, 130502 (2004)), with a CNOT relay over
+free qubits for each control not adjacent to the target. V-chains now serve
+only a lone controlled Ry, or a run that gate-by-gate lowering does with
+fewer CNOTs: Toffoli pairs compress controls onto ancillas, and a pair whose
+controls are untouched in between needs no control-control CNOTs, so
+controls never have to be adjacent to each other. SWAPs are never emitted.
 """
 from __future__ import annotations
 
@@ -14,7 +18,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import circuits as cg
-from .circuits import (CNOT, CRY, MCRY, NATIVE_KINDS, PAULI_X_EXP, SWAP,
+from .builders import fwht, subset_zeta
+from .circuits import (CNOT, CRY, MCRY, NATIVE_KINDS, PAULI_X_EXP, RY, SWAP,
                        TOFFOLI, ZERO_CONTROL, Circuit, Gate)
 from .coupling import CouplingMap, validate_connectivity
 from .errors import LoweringError
@@ -48,18 +53,40 @@ def lower_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     return _toffoli_ladder(c1, c2, target) + _control_phase(c1, c2)
 
 
-def _cry_gates(theta: float, control: int, target: int) -> list[Gate]:
-    return [cg.ry(theta / 2, target), cg.cnot(control, target),
-            cg.ry(-theta / 2, target), cg.cnot(control, target)]
+def _gray_code_ry(table: np.ndarray, target: int,
+                  cnots: list[list[Gate]]) -> list[Gate]:
+    """Uniformly controlled Ry: Ry(table[x]) on target for control state x.
+
+    cnots[j] realizes a CNOT from the control of bit j onto the target. Step i
+    is Ry(alpha_i), then the CNOT of the bit where gray(i) and gray(i+1 mod
+    2^k) differ, so Ry(alpha_i) acts with sign (-1)^popcount(x & gray(i)) and
+    alpha_i = fwht(table)[gray(i)] / 2^k sums to table[x]."""
+    k = len(cnots)
+    steps = np.arange(1 << k)
+    alpha = fwht(table)[steps ^ (steps >> 1)] / (1 << k)
+    out = []
+    for i, a in enumerate(alpha):
+        out.append(cg.ry(float(a), target))
+        out.extend(cnots[min(k - 1, ((i + 1) & -(i + 1)).bit_length() - 1)])
+    return out
 
 
-def _multiplexor_gates(theta: float, c1: int, c2: int, target: int) -> list[Gate]:
-    """Two-control Ry with 4 CNOTs, all control-to-target."""
-    t = theta / 4
-    return [cg.ry(t, target), cg.cnot(c2, target),
-            cg.ry(-t, target), cg.cnot(c1, target),
-            cg.ry(t, target), cg.cnot(c2, target),
-            cg.ry(-t, target), cg.cnot(c1, target)]
+def _controlled_ry(theta: float, controls: list[int], target: int) -> list[Gate]:
+    """Ry(theta) when every control is 1, with 2^k CNOTs from the adjacent
+    controls (bit j of the Gray code is controls[j])."""
+    table = np.zeros(1 << len(controls))
+    table[-1] = theta
+    return _gray_code_ry(table, target, [[cg.cnot(c, target)] for c in controls])
+
+
+def _cnots(gates: list[Gate]) -> int:
+    return sum(g.kind == CNOT for g in gates)
+
+
+def _planner_floor(n_controls: int) -> int:
+    """Fewest CNOTs `_Planner.plan` can emit for n controls: 2 for a CRy, 4
+    for the two-control multiplexor, plus 8 per Toffoli pair below that."""
+    return max(2, 8 * n_controls - 12)
 
 
 def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
@@ -97,7 +124,8 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
 
 
 class _Planner:
-    """Per-gate search for edge-respecting multi-controlled Ry realizations."""
+    """Edge-respecting realizations of Ry runs: Gray-code multiplexors, or a
+    per-gate V-chain search."""
 
     def __init__(self, coupling: CouplingMap):
         self.coupling = coupling
@@ -131,6 +159,54 @@ class _Planner:
         chain = [cg.cnot(hops[k], hops[k + 1]) for k in range(len(hops) - 1)]
         return path[-1], chain, path
 
+    def ry_run(self, run: list[Gate], free: set[int]) -> list[Gate]:
+        """Lower a run of commuting Ry gates on one target: as one Gray-code
+        multiplexor, or gate by gate where that takes fewer CNOTs. A run with
+        fewer than two controlled gates always goes gate by gate."""
+        n_controls = [len(g.controls) for g in run if g.kind != RY]
+        candidates = []
+        if len(n_controls) > 1:
+            try:
+                candidates.append(self._multiplexor(run, free))
+            except LoweringError:
+                pass
+        # planning gate by gate is skipped when even its floor cannot win
+        if not candidates or _cnots(candidates[0]) > sum(map(_planner_floor, n_controls)):
+            try:
+                candidates.append([p for g in run for p in self._one_gate(g, free)])
+            except LoweringError:
+                if not candidates:
+                    raise
+        return min(candidates, key=_cnots)
+
+    def _one_gate(self, g: Gate, free: set[int]) -> list[Gate]:
+        if g.kind == RY:
+            return [g]
+        conj = [cg.x(c) for c in g.controls] if g.polarity == ZERO_CONTROL else []
+        return conj + self.plan(g.controls, g.target, g.angle, set(free)) + conj
+
+    def _multiplexor(self, run: list[Gate], free: set[int]) -> list[Gate]:
+        target = run[0].target
+        relays = {c: self._relayed_control(c, target, free)
+                  for g in run for c in g.controls}
+        # bit 0 drives every other CNOT, so the nearest control takes it
+        controls = sorted(relays, key=lambda c: (len(relays[c][2]), c))
+        bit = {c: 1 << j for j, c in enumerate(controls)}
+        angles = np.zeros(1 << len(controls))
+        polarity = None
+        for g in run:
+            angles[sum(bit[c] for c in g.controls)] += g.angle
+            if g.kind != RY:
+                polarity = g.polarity
+        table = subset_zeta(angles)
+        if polarity == ZERO_CONTROL:
+            table = table[::-1]  # index x ^ (2^k - 1): every control reads 0 as 1
+        cnots = []
+        for c in controls:
+            eff, chain, _ = relays[c]
+            cnots.append(chain + [cg.cnot(eff, target)] + chain[::-1])
+        return _gray_code_ry(table, target, cnots)
+
     def plan(self, controls: tuple[int, ...], target: int, theta: float,
              free: set[int]) -> list[Gate]:
         controls = tuple(sorted(controls))
@@ -139,18 +215,18 @@ class _Planner:
             return [cg.ry(theta, target)]
         if n == 1:
             eff, chain, _ = self._relayed_control(controls[0], target, free)
-            return chain + _cry_gates(theta, eff, target) + chain[::-1]
+            return chain + _controlled_ry(theta, [eff], target) + chain[::-1]
         if n == 2:
             c1, c2 = controls
             if self.coupling.has_edge(c1, target) and self.coupling.has_edge(c2, target):
-                return _multiplexor_gates(theta, c1, c2, target)
+                return _controlled_ry(theta, [c2, c1], target)
             compressed = self._compress_pair((c1, c2), controls, target, theta, free)
             if compressed is not None:
                 return compressed
             eff1, chain1, used1 = self._relayed_control(c1, target, free)
             eff2, chain2, _ = self._relayed_control(c2, target, free - set(used1))
             pre = chain1 + chain2
-            return pre + _multiplexor_gates(theta, eff1, eff2, target) + pre[::-1]
+            return pre + _controlled_ry(theta, [eff2, eff1], target) + pre[::-1]
         compressed_any = None
         for pair in combinations(controls, 2):
             compressed_any = self._compress_pair(pair, controls, target, theta, free)
@@ -191,6 +267,29 @@ def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int
     return out
 
 
+_RY_KINDS = (RY, CRY, MCRY)
+
+
+def _ry_runs(gates: list[Gate]) -> list[list[Gate]]:
+    """Split a gate list into maximal runs of ry/cry/mcry gates on one target
+    whose controlled gates share a polarity; every other gate is a run of its
+    own."""
+    runs: list[list[Gate]] = []
+    polarity = None
+    for g in gates:
+        run = runs[-1] if runs else None
+        if (run and g.kind in _RY_KINDS and run[0].kind in _RY_KINDS
+                and g.target == run[0].target
+                and (g.kind == RY or polarity in (None, g.polarity))):
+            run.append(g)
+        else:
+            runs.append([g])
+            polarity = None
+        if g.kind in (CRY, MCRY):
+            polarity = g.polarity
+    return runs
+
+
 def lower(circuit: Circuit, coupling: CouplingMap,
           layout: dict[int, int] | None = None,
           ancilla_pool: set[int] | None = None) -> Circuit:
@@ -211,8 +310,11 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     planner = _Planner(coupling)
 
     out = Circuit(coupling.n_qubits)
-    for g in placed.gates:
-        if g.kind in NATIVE_KINDS and len(g.qubits) == 1:
+    for run in _ry_runs(placed.gates):
+        g = run[0]
+        if g.kind in _RY_KINDS:
+            out.extend(planner.ry_run(run, free))
+        elif g.kind in NATIVE_KINDS and len(g.qubits) == 1:
             out.add(g)
         elif g.kind == CNOT:
             c, t = g.qubits
@@ -232,11 +334,6 @@ def lower(circuit: Circuit, coupling: CouplingMap,
             if missing:
                 raise LoweringError(f"lone toffoli needs edges {missing}")
             out.extend(lower_toffoli(c1, c2, t))
-        elif g.kind in (CRY, MCRY):
-            conj = [cg.x(c) for c in g.controls] if g.polarity == ZERO_CONTROL else []
-            out.extend(conj)
-            out.extend(planner.plan(g.controls, g.target, g.angle, set(free)))
-            out.extend(conj)
         elif g.kind == PAULI_X_EXP:
             out.extend(_pauli_x_exp_gates(g.angle, g.qubits, coupling))
         else:
@@ -266,19 +363,6 @@ def _best_chain(qs: list[int], coupling: CouplingMap) -> tuple[int, ...]:
         if all(coupling.has_edge(perm[i], perm[i + 1]) for i in range(len(perm) - 1)):
             return perm
     raise LoweringError(f"no edge-respecting chain through qubits {qs}")
-
-
-def lower_pauli_x_exp(gate: Gate, coupling: CouplingMap,
-                      layout: dict[int, int] | None = None) -> Circuit:
-    """Lower a single X-string exponential: H-conjugated CNOT ladder plus one Rz."""
-    if gate.kind != PAULI_X_EXP:
-        raise ValueError("expected a pauli_x_exp gate")
-    if layout is None:
-        layout = {q: q for q in gate.qubits}
-    phys = tuple(layout[q] for q in gate.qubits)
-    out = Circuit(coupling.n_qubits)
-    out.extend(_pauli_x_exp_gates(gate.angle, phys, coupling))
-    return out
 
 
 def restricted_unitary(lowered: Circuit, data_qubits: list[int]) -> np.ndarray:

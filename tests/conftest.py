@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mp2q import hfdata
@@ -26,3 +27,18 @@ def random_block(rng, label="R", n_codes=16, gamma_max=0.3,
     r_orbs = tuple(range(1 << (q - half)))
     s_orbs = tuple(range(1 << half))
     return hfdata.EriBlock(label, (0, 0), r_orbs, s_orbs, gamma, dens)
+
+
+def uint_generator(block: hfdata.EriBlock, base_state: int) -> np.ndarray:
+    """Dense V with exp(i*lambda*V)|y> = U_INT(lambda)|0>."""
+    q = block.n_qubits
+    dim = 1 << q
+    v = np.zeros((dim, dim))
+    for code in range(dim):
+        g = float(block.gamma[code])
+        if code == base_state or g == 0.0:
+            continue
+        mask = code ^ base_state
+        idx = np.arange(dim)
+        v[idx ^ mask, idx] += g
+    return v

@@ -11,11 +11,10 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from conftest import random_block
+from conftest import random_block, uint_generator
 from mp2q import builders, circuits as cg, estimate, hfdata, mp2, statevec
 from mp2q.builders import (build_uint, build_uint_exact, default_base_state,
-                           default_c_e, ratio_table, solve_angles,
-                           uint_generator)
+                           default_c_e, ratio_table, solve_angles)
 from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
 from mp2q.cli import main
 from mp2q.coupling import h_shape_7, validate_connectivity

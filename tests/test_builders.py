@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_block
+from conftest import random_block, uint_generator
 from mp2q import builders, circuits as cg, statevec
 from mp2q.builders import (PipelineSpec, TransRegisterPlan,
                            angles_from_targets, build_antisym_pipeline,
@@ -10,7 +10,7 @@ from mp2q.builders import (PipelineSpec, TransRegisterPlan,
                            build_ue_naive, build_uint, build_uint_exact,
                            build_utrans, default_base_state, default_c_e, fwht,
                            ratio_table, solve_angles, subset_moebius,
-                           subset_zeta, uint_generator)
+                           subset_zeta)
 from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
 from mp2q.errors import NumericalError
 from mp2q.hfdata import EriBlock

@@ -148,6 +148,44 @@ def test_pipeline_parts_restricted(tmp_path, capsys, helium_path):
     assert parts == {"IV"}
 
 
+@pytest.mark.parametrize("parts, message", [
+    ("I,V", "unknown part 'V'"),
+    ("II", "unknown part 'II'"),
+    ("I,", "unknown part ''"),
+    ("I,I", "part 'I' named twice"),
+    ("IV,III,IV", "part 'IV' named twice"),
+])
+def test_pipeline_rejects_bad_parts(tmp_path, capsys, helium_path, parts, message):
+    # before, an unknown part printed only "error: 'V'", and I,I exited 0 with
+    # E2 about -90% off the oracle
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--hf-data", helium_path, "--mode", "exact",
+                 "--parts", parts, "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"lambda_step": {"I": 0.04}}, "config key 'lambda_step' has no entry for part 'III'"),
+    ({"total_steps": {"III": 12}}, "config key 'total_steps' has no entry for part 'I'"),
+    ({"c_e": {"I": 0.5}}, "config key 'c_e' has no entry for part 'III'"),
+    ({"lambda_step": {"I": "wide", "III": 0.03}},
+     "config key 'lambda_step', part 'I': 'wide' is not a float"),
+    ({"parts": "I"}, "parts must be a list"),
+    ({"parts": ["I", "I"]}, "part 'I' named twice"),
+])
+def test_pipeline_rejects_bad_per_part_config(tmp_path, capsys, helium_path,
+                                                config, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hf_data": helium_path, **config}))
+    args = ["pipeline", "--config", str(cfg), "--mode", "exact",
+            "--out-dir", str(tmp_path / "out")]
+    if "parts" not in config:
+        args += ["--parts", "I,III"]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_pipeline_sampled_reproducible(tmp_path, helium_path, capsys):
     cfg = {"hf_data": helium_path, "parts": ["IV"], "mode": "sampled",
            "seed": 5, "shots": 2000, "lambda_step": {"IV": 0.05},

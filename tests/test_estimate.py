@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_block
+from conftest import random_block, uint_generator
 from mp2q import builders, estimate, statevec
-from mp2q.builders import default_base_state, default_c_e, ratio_table, uint_generator
+from mp2q.builders import default_base_state, default_c_e, ratio_table
 from mp2q.errors import NumericalError
 from mp2q.estimate import (SweepConfig, SweepResult, SweepRow,
                            apply_diagonal_error, assemble_energy,
@@ -172,6 +172,22 @@ def test_plateau_flagged_on_saturated_window(helium_blocks):
         sweep = run_block_sweep(blk, SweepConfig(step, 8, mode=estimate.EXACT,
                                                  start_candidates=0))
         assert fit_zeta(sweep, (0, 8)).plateau is expect
+
+
+@pytest.mark.parametrize("part", ["I", "III", "IV", "Q5"])
+def test_ue_response_tables_match_simulated_ue(helium_blocks, part):
+    # the closed form against gate-by-gate runs of build_ue on every basis input
+    if part == "Q5":
+        blk = random_block(np.random.default_rng(3), n_codes=32)
+    else:
+        blk = helium_blocks[part]
+    q = blk.n_qubits
+    circ = builders.build_ue(builders.solve_angles(blk))
+    tables = ue_response_tables(blk)
+    assert sorted(tables) == list(range(1 << q))
+    for x, table in tables.items():
+        state = statevec.apply_circuit(statevec.basis_state(q + 1, x), circ)
+        assert np.max(np.abs(table - statevec.probabilities(state))) < 1e-12
 
 
 def test_correction_identity_on_equal_tables(helium_blocks):

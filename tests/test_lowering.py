@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_block
@@ -10,8 +11,7 @@ from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
 from mp2q.coupling import (CouplingMap, complete_map, h_shape_7, named_map, path_map,
                            validate_connectivity)
 from mp2q.errors import LoweringError
-from mp2q.lowering import (lower, lower_pauli_x_exp, restricted_unitary,
-                           simplify_toffoli_pairs)
+from mp2q.lowering import _ry_runs, lower, restricted_unitary, simplify_toffoli_pairs
 
 
 def mcry_ref(n, controls, target, theta, polarity=1):
@@ -32,6 +32,10 @@ def xstring_exp_ref(n, coeff, qubits):
     idx = np.arange(1 << n)
     gen[idx ^ mask, idx] = 1.0
     return expm(1j * coeff * gen)
+
+
+def lower_one(gate, coupling):
+    return lower(Circuit(coupling.n_qubits, [gate]), coupling)
 
 
 def test_native_cnots_pass_through():
@@ -127,21 +131,21 @@ def test_simplify_random_circuit_with_pair():
 
 
 def test_xexp_single_qubit_is_rx():
-    out = lower_pauli_x_exp(cg.pauli_x_exp(0.3, [0]), path_map(1))
+    out = lower_one(cg.pauli_x_exp(0.3, [0]), path_map(1))
     assert [g.kind for g in out.gates] == [cg.RX]
     assert out.gates[0].angle == -0.6
 
 
 def test_xexp_two_qubit_matches_expm():
     coeff = 0.47
-    out = lower_pauli_x_exp(cg.pauli_x_exp(coeff, [0, 1]), path_map(2))
+    out = lower_one(cg.pauli_x_exp(coeff, [0, 1]), path_map(2))
     assert np.max(np.abs(unitary_of(out) - xstring_exp_ref(2, coeff, [0, 1]))) < 1e-12
 
 
 def test_xexp_chain_skips_excluded_middle_qubit():
     # string on {0,1,3}; qubit 2 sits on the line but is not in the string
     cm = CouplingMap.from_edges(4, [(0, 1), (1, 3), (2, 3)], "bent-path")
-    out = lower_pauli_x_exp(cg.pauli_x_exp(0.21, [0, 1, 3]), cm)
+    out = lower_one(cg.pauli_x_exp(0.21, [0, 1, 3]), cm)
     assert validate_connectivity(out, cm) == []
     assert not any(2 in g.qubits for g in out.gates)
     assert np.max(np.abs(unitary_of(out) - xstring_exp_ref(4, 0.21, [0, 1, 3]))) < 1e-12
@@ -150,7 +154,7 @@ def test_xexp_chain_skips_excluded_middle_qubit():
 def test_xexp_no_chain_errors():
     cm = CouplingMap.from_edges(3, [(0, 1), (1, 2)], "path")
     with pytest.raises(LoweringError):
-        lower_pauli_x_exp(cg.pauli_x_exp(0.1, [0, 2]), cm)
+        lower_one(cg.pauli_x_exp(0.1, [0, 2]), cm)
 
 
 def test_xexp_orderings_equivalent():
@@ -205,38 +209,43 @@ def test_lower_full_pipeline_semantics_preserved(helium_blocks):
     assert max_phase_aligned_diff(sub, unitary_of(circ)) < 1e-9
 
 
-# SHA-256 of Circuit.to_json() for every helium part/circuit/shipped map that
-# lowers under the identity layout, plus a seeded Q=5 U_E; any change to the
-# emitted gates, their order or their angles shows here
+# SHA-256 of Circuit.to_json() for the helium part/circuit/shipped map cases
+# that lowered under the identity layout before U_E runs became Gray-code
+# multiplexors, plus a seeded Q=5 U_E; any change to the emitted gates, their
+# order or their angles shows here. The U_E and pipeline digests changed when
+# each U_E became one multiplexor instead of 15 V-chain lowerings; native
+# CNOTs per part, V-chains -> multiplexor: ue on complete-7 100 -> 16, on
+# h-shape-7 144 -> 48, on h-shape-9 192 -> 80; pipeline on complete-7
+# 108 -> 24; Q5 ue on complete-10 298 -> 32. The U_INT digests did not change.
 PINNED_LOWERED = {
-    "I.pipeline.complete-7": "1c7ed3a81891617a347580b229803e2a6cb3cbecc5201fb7a5c6529e167a730f",
-    "I.ue.complete-7": "274dec188e315ed8c84e7056bbc1738feb42f8ff75506d9376bb3b6a74900d5a",
-    "I.ue.h-shape-7": "24c295cc3b445176c2ed318453aeda3c08aeb832a0cf3b600db871ea49c39baa",
-    "I.ue.h-shape-9": "6ace33ca276dfb45e3423e80c99097fae8a4b984a7f65fbd72de2e25b3084419",
+    "I.pipeline.complete-7": "f51c6739966295b185f4591585115eaec9bb01335c50affe992717ac8c47a1d7",
+    "I.ue.complete-7": "ed99ecb8066bb4b036f718e0fe5690f4b1570ebac8be044ec0834b1ac6bb24d4",
+    "I.ue.h-shape-7": "63fbde533dbd93583c762b6568bad746bf3567ee0a327074185ef575a0ab71cb",
+    "I.ue.h-shape-9": "05ee074a1723572b1f8fad69fcceb3282bfb5fe8d3e0bf982bce0a45628a1961",
     "I.uint.complete-5": "e5502eaecb5669a3074bfba34dfd312718baf6a6e699d03fbe57e5d041a588c1",
     "I.uint.complete-7": "4469c568c09fdc3aff4c791ecce84922e1343efae3c3bf22290bc8aec13ce7c8",
     "I.uint.grid-2x4": "d30d5c06c621d300db7b095985a4becdc439616b88db9c3bf8f5c7c032f37ba7",
     "I.uint.ibm-27-heavy-hex": "6606f1767261ba652ed2c231e869431ff94667851831c91a9ee457a011ad96ca",
     "I.uint.path-5": "e5502eaecb5669a3074bfba34dfd312718baf6a6e699d03fbe57e5d041a588c1",
-    "III.pipeline.complete-7": "604a280db578d63d3d4b69d8d03eea969bc4afce19e847e50e98ed72baf1e58f",
-    "III.ue.complete-7": "50f428dd712c6ea0be97fcd0f2d10abe92a5acac3d8fed8483cbc192eb5d7b0d",
-    "III.ue.h-shape-7": "c8dbed89c7ca42596d314d8cba292ac89f2e3c0e36cab3267f9173d9ed043562",
-    "III.ue.h-shape-9": "f20b8f1899757da530f568e433907c82cb0a1072bf6eb59baf533135603163bb",
+    "III.pipeline.complete-7": "7940189604d43108efc6624792055615b84fe84fa06ea28d163c16955f755bed",
+    "III.ue.complete-7": "19df880bf297fbea920c895c547100bb00a99e167078b62151f2bcdfc6ed6b03",
+    "III.ue.h-shape-7": "adc9d09f809211be8db8881e08b1a43f0a812f2e9eaef78ca2f0440f30ae86d6",
+    "III.ue.h-shape-9": "7ed070ddce1b3c2c828fd1f5eddff08a237ef354fc04355c4e5677ea6783199b",
     "III.uint.complete-5": "d7d982909a812de3721ebb42f8aed02d33a059dd620fd1c4ca2ea362c0efaa13",
     "III.uint.complete-7": "adf068f4e27c2f0749e612fd7036967fd900e5eb5046a5e0c771af32ec6b2d7b",
     "III.uint.grid-2x4": "8ba707694d58dfb9d037c5a74f1e2b171498c295054a4acb1e0cd721ecd9412a",
     "III.uint.ibm-27-heavy-hex": "9e7338403a9d7396529169246b3dd6822b863bd644b3d577639c15dfd12b06a5",
     "III.uint.path-5": "d7d982909a812de3721ebb42f8aed02d33a059dd620fd1c4ca2ea362c0efaa13",
-    "IV.pipeline.complete-7": "df56db09994da5e1635541131260589a81b4dd68fd76074e02d207df352b061a",
-    "IV.ue.complete-7": "039a63e8ec39f63547b6507f884fbcf754c84055a2fc11643aeded5aa7c20ef1",
-    "IV.ue.h-shape-7": "8be5331fd8371d98ddfbe0712aed743d6ecd100f752430ad52301b8b96c2ceaa",
-    "IV.ue.h-shape-9": "db21cce0ec1c6aa3c458c6fa74d606d9e4af4b1bddcb48e00009ba5d9aef0cd0",
+    "IV.pipeline.complete-7": "118cf26f47c863424a5c83913ff2733122f6755efa651c0641b329c2db3dc2f2",
+    "IV.ue.complete-7": "076508b5d168c04130531db920dca4be92659a87bd763a00c9279a0db6405faa",
+    "IV.ue.h-shape-7": "50985ecc5e2a4b064f8a017270de2fe2795e85f759dd37c4a60fc457d44800ee",
+    "IV.ue.h-shape-9": "fe4aa3949726486892e1e4c3002f71022f9ac5ea4bfdbd5a100822026732d3e4",
     "IV.uint.complete-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
     "IV.uint.complete-7": "d4756f28c0ed4147137e04821b93c036ec65259d459f86f2cb216bf08d82f315",
     "IV.uint.grid-2x4": "6872ab310529c60239ddc2097f9f83252506170ef3b4a193bc7a2137cf7a7b4f",
     "IV.uint.ibm-27-heavy-hex": "332dbc48cf39510377c220141c36093a42104bff14589fa5117ebb6a8c9597a0",
     "IV.uint.path-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
-    "Q5.ue.complete-10": "1bc4d48e722105ec1d1e28ad884965d5bb01902b43f5cf1a916c5a99abed4762",
+    "Q5.ue.complete-10": "10a89a35278bec1637c21a44e5b2ea642c144fd2326cc69bd0bc11e213c533d8",
 }
 
 
@@ -266,3 +275,133 @@ def test_ladders_not_shared_across_calls(helium_blocks):
     first, second = lower(ue, h_shape_7()), lower(ue, h_shape_7())
     assert first.gates == second.gates
     assert not any(a is b for a, b in zip(first.gates, second.gates))
+
+
+def _hub_map(q, hops, direct):
+    """Controls 0..q-1 and target q; with hops > 0 the controls reach the
+    target only through a chain of `hops` free qubits (and the controls in
+    `direct` also by an edge), so every other CNOT onto the target is relayed."""
+    if hops == 0:
+        return complete_map(q + 1)
+    chain = list(range(q + 1, q + 1 + hops))
+    edges = ([(c, chain[0]) for c in range(q)] + list(zip(chain, chain[1:]))
+             + [(chain[-1], q)] + [(c, q) for c in direct])
+    return CouplingMap.from_edges(q + 1 + hops, edges, f"hub-{hops}")
+
+
+@st.composite
+def _angle_tables(draw):
+    q = draw(st.integers(1, 5))
+    angles = draw(st.lists(st.sampled_from([0.0, 0.0, 1.1]) | st.floats(-3.0, 3.0),
+                           min_size=1 << q, max_size=1 << q))
+    polarity = draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL]))
+    hops = draw(st.integers(0, 2))
+    direct = draw(st.sets(st.integers(0, q - 1)))
+    return builders.AngleTable(q, np.array(angles), 1.0, builders.SQRT, polarity), hops, direct
+
+
+@settings(max_examples=80, deadline=None)
+@given(_angle_tables())
+def test_multiplexor_matches_source(case):
+    table, hops, direct = case
+    q = table.n_control_qubits
+    source = builders.build_ue(table)
+    cm = _hub_map(q, hops, direct)
+    controlled = sum(g.kind != cg.RY for g in source.gates)
+    try:
+        out = lower(source, cm)
+    except LoweringError:
+        # only the V-chain planner of a lone gate can run out of ancillas
+        assert controlled < 2
+        return
+    assert validate_connectivity(out, cm) == []
+    sub = restricted_unitary(out, list(range(q + 1)))
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
+    if hops == 0 and controlled > 1:
+        assert sum(g.kind == cg.CNOT for g in out.gates) <= 1 << q
+
+
+def test_runs_split_by_target_and_polarity():
+    gates = [cg.cry(0.3, 0, 3), cg.mcry(0.5, [0, 1], 3),          # target 3
+             cg.cry(0.7, 1, 2), cg.mcry(-0.2, [0, 1], 2),         # target 2
+             cg.cry(0.4, 0, 3, polarity=0), cg.mcry(0.9, [0, 1], 3, polarity=0),
+             cg.ry(0.25, 3),                                      # joins the 0-run
+             cg.cry(1.3, 1, 3)]                                   # polarity 1 again
+    runs = _ry_runs(gates)
+    assert [len(run) for run in runs] == [2, 2, 3, 1]
+    circ = Circuit(4, gates)
+    out = lower(circ, complete_map(4))
+    # three two-control multiplexors (4 CNOTs each) and one CRy (2 CNOTs)
+    assert sum(g.kind == cg.CNOT for g in out.gates) == 14
+    assert max_phase_aligned_diff(unitary_of(out), unitary_of(circ)) < 1e-10
+
+
+def test_run_lowers_gate_by_gate_when_cheaper():
+    # a C4-Ry and a CRy on the same target: 48 CNOTs as a relayed multiplexor
+    # on h-shape-7, 24 gate by gate, so the planner's output is kept
+    circ = Circuit(5, [cg.mcry(0.8, [0, 1, 2, 3], 4), cg.cry(0.3, 2, 4), cg.ry(0.2, 4)])
+    out = lower(circ, h_shape_7())
+    separate = [lower(Circuit(5, [g]), h_shape_7()).gates for g in circ.gates]
+    assert out.gates == [g for part in separate for g in part]
+    assert sum(g.kind == cg.CNOT for g in out.gates) == 24
+    sub = restricted_unitary(out, [0, 1, 2, 3, 4])
+    assert max_phase_aligned_diff(sub, unitary_of(circ)) < 1e-9
+
+
+# SHA-256 of Circuit.to_json() for circuits whose controlled Ry gates each
+# stand alone, recorded with the V-chain planner before runs became
+# multiplexors: their lowering must not change, on complete-7 either, where a
+# multiplexor would take 16 CNOTs instead of 20
+PINNED_LONE = {
+    "c1ry": "70728bc31f4babab93b2b0a2b21a85a08035d97356d21ae7ad09669636d49434",
+    "c2ry.01": "15491b4a4e54d7fec11db3ec599082d5b0a7ca56bb1903f5bb7c5c291631feac",
+    "c2ry.02": "b51f1fb6169af5844978353c4b5892b8fcc151c770233c639efde92cbadf9cb5",
+    "c3ry": "cfe5d8806bee9de035d4bdae4d17f468dea1ebf69a8ad331d970b1860dd7fe0b",
+    "c4ry": "8dbfc8db302d3b9f5f01f6ba995b6815a4795f1c5061edc4d44a07f9e5bff911",
+    "c4ry-zero-and-ry.complete-7":
+        "2aaf5be6b443778852237bb0db49b4a8387881bd0a329bc61f4db7662dfa0087",
+    "naive.I": "ca4c8b1636b0bd9ff13e6381de705175583ccf2313e444ea87fe3f6af58abd71",
+}
+LONE_GATES = {
+    "c1ry": [cg.mcry(1.37, [0], 4)],
+    "c2ry.01": [cg.mcry(1.37, [0, 1], 4)],
+    "c2ry.02": [cg.mcry(1.37, [0, 2], 4)],
+    "c3ry": [cg.mcry(1.37, [0, 1, 2], 4)],
+    "c4ry": [cg.mcry(1.37, [0, 1, 2, 3], 4)],
+    "c4ry-zero-and-ry.complete-7": [cg.mcry(1.37, [0, 1, 2, 3], 4, polarity=0),
+                                    cg.ry(0.5, 4)],
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_LONE))
+def test_lone_gates_lower_as_before(label, helium_blocks):
+    if label == "naive.I":
+        circ = builders.build_ue_naive(helium_blocks["I"])
+    else:
+        circ = Circuit(5, LONE_GATES[label])
+    cm = complete_map(7) if label.endswith("complete-7") else h_shape_7()
+    out = lower(circ, cm)
+    assert hashlib.sha256(out.to_json().encode()).hexdigest() == PINNED_LONE[label]
+
+
+# Native CNOTs of each helium part's circuit per shipped map under the identity
+# layout, as the per-gate V-chain planner lowered them (the same for parts I,
+# III and IV); None where it raised LoweringError
+PLANNER_CNOTS = {
+    ("ue", "complete-7"): 100, ("ue", "h-shape-7"): 144, ("ue", "h-shape-9"): 192,
+    ("ue", "complete-5"): None, ("ue", "grid-2x4"): None,
+    ("pipeline", "complete-7"): 108,
+    ("pipeline", "complete-5"): None, ("pipeline", "grid-2x4"): None,
+    ("uint", "complete-5"): 8, ("uint", "complete-7"): 8, ("uint", "grid-2x4"): 8,
+    ("uint", "path-5"): 8, ("uint", "ibm-27-heavy-hex"): 8,
+}
+
+
+@pytest.mark.parametrize("part", ["I", "III", "IV"])
+def test_coverage_never_costlier(part, helium_blocks):
+    # 13 cases per part, 39 of the 63 part x circuit x map cases
+    for (kind, name), before in PLANNER_CNOTS.items():
+        label = f"{part}.{kind}.{name}"
+        out = lower(_pinned_circuit(label, helium_blocks), named_map(name))
+        cnots = sum(g.kind == cg.CNOT for g in out.gates)
+        assert before is None or cnots <= before, (label, cnots, before)
