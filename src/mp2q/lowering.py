@@ -5,10 +5,10 @@ one polarity, commutes, so it is one uniformly controlled Ry: a Gray-code
 multiplexor of 2^k Ry gates and 2^k CNOTs onto the target for k distinct
 controls (Moettoenen et al., PRL 93, 130502 (2004)), with a CNOT relay over
 free qubits for each control not adjacent to the target. V-chains now serve
-only a lone controlled Ry, or a run that gate-by-gate lowering does with
-fewer CNOTs: Toffoli pairs compress controls onto ancillas, and a pair whose
-controls are untouched in between needs no control-control CNOTs, so
-controls never have to be adjacent to each other. SWAPs are never emitted.
+only a lone controlled Ry, or a run too wide for a multiplexor of linear size
+(2^k CNOTs at most 8 per control operand): Toffoli pairs compress controls
+onto ancillas, and a pair whose controls are untouched in between needs no
+control-control CNOTs, so controls never have to be adjacent to each other. SWAPs are never emitted.
 """
 from __future__ import annotations
 
@@ -79,14 +79,11 @@ def _controlled_ry(theta: float, controls: list[int], target: int) -> list[Gate]
     return _gray_code_ry(table, target, [[cg.cnot(c, target)] for c in controls])
 
 
-def _cnots(gates: list[Gate]) -> int:
-    return sum(g.kind == CNOT for g in gates)
-
-
-def _planner_floor(n_controls: int) -> int:
-    """Fewest CNOTs `_Planner.plan` can emit for n controls: 2 for a CRy, 4
-    for the two-control multiplexor, plus 8 per Toffoli pair below that."""
-    return max(2, 8 * n_controls - 12)
+# A multiplexor over k controls takes 2^k CNOTs; it is built only while that
+# stays within this many per control operand of its run (a V-chain spends 8,
+# one Toffoli pair, per control), so the output grows linearly with the input
+# and a run of wide gates on disjoint controls never allocates 2^k gates.
+_MUX_CNOTS_PER_CONTROL = 8
 
 
 def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
@@ -160,24 +157,22 @@ class _Planner:
         return path[-1], chain, path
 
     def ry_run(self, run: list[Gate], free: set[int]) -> list[Gate]:
-        """Lower a run of commuting Ry gates on one target: as one Gray-code
-        multiplexor, or gate by gate where that takes fewer CNOTs. A run with
-        fewer than two controlled gates always goes gate by gate."""
-        n_controls = [len(g.controls) for g in run if g.kind != RY]
-        candidates = []
-        if len(n_controls) > 1:
-            try:
-                candidates.append(self._multiplexor(run, free))
-            except LoweringError:
-                pass
-        # planning gate by gate is skipped when even its floor cannot win
-        if not candidates or _cnots(candidates[0]) > sum(map(_planner_floor, n_controls)):
-            try:
-                candidates.append([p for g in run for p in self._one_gate(g, free)])
-            except LoweringError:
-                if not candidates:
-                    raise
-        return min(candidates, key=_cnots)
+        """Lower a run of commuting Ry gates on one target. A run with two or
+        more controlled gates is one Gray-code multiplexor; a lone controlled
+        Ry keeps the V-chain planner and falls back to a multiplexor only where
+        the planner finds no ancilla assignment. Neither path builds a
+        multiplexor whose size outgrows the run (`_MUX_CNOTS_PER_CONTROL`)."""
+        controlled = [g for g in run if g.kind != RY]
+        k = len({c for g in controlled for c in g.controls})
+        fits = 1 << k <= _MUX_CNOTS_PER_CONTROL * sum(len(g.controls) for g in controlled)
+        if fits and len(controlled) > 1:
+            return self._multiplexor(run, free)
+        try:
+            return [p for g in run for p in self._one_gate(g, free)]
+        except LoweringError:
+            if not fits:
+                raise
+            return self._multiplexor(run, free)
 
     def _one_gate(self, g: Gate, free: set[int]) -> list[Gate]:
         if g.kind == RY:

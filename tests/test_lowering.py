@@ -308,12 +308,7 @@ def test_multiplexor_matches_source(case):
     source = builders.build_ue(table)
     cm = _hub_map(q, hops, direct)
     controlled = sum(g.kind != cg.RY for g in source.gates)
-    try:
-        out = lower(source, cm)
-    except LoweringError:
-        # only the V-chain planner of a lone gate can run out of ancillas
-        assert controlled < 2
-        return
+    out = lower(source, cm)
     assert validate_connectivity(out, cm) == []
     sub = restricted_unitary(out, list(range(q + 1)))
     assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
@@ -336,16 +331,26 @@ def test_runs_split_by_target_and_polarity():
     assert max_phase_aligned_diff(unitary_of(out), unitary_of(circ)) < 1e-10
 
 
-def test_run_lowers_gate_by_gate_when_cheaper():
-    # a C4-Ry and a CRy on the same target: 48 CNOTs as a relayed multiplexor
-    # on h-shape-7, 24 gate by gate, so the planner's output is kept
-    circ = Circuit(5, [cg.mcry(0.8, [0, 1, 2, 3], 4), cg.cry(0.3, 2, 4), cg.ry(0.2, 4)])
-    out = lower(circ, h_shape_7())
-    separate = [lower(Circuit(5, [g]), h_shape_7()).gates for g in circ.gates]
+def test_wide_disjoint_run_lowers_gate_by_gate():
+    # two C13-Ry gates on disjoint controls would make a 2^26-entry
+    # multiplexor; the run goes through the V-chain planner gate by gate
+    gates = [cg.mcry(0.8, list(range(13)), 26), cg.mcry(-0.3, list(range(13, 26)), 26)]
+    cm = complete_map(40)
+    out = lower(Circuit(27, gates), cm)
+    separate = [lower(Circuit(27, [g]), cm).gates for g in gates]
     assert out.gates == [g for part in separate for g in part]
-    assert sum(g.kind == cg.CNOT for g in out.gates) == 24
-    sub = restricted_unitary(out, [0, 1, 2, 3, 4])
-    assert max_phase_aligned_diff(sub, unitary_of(circ)) < 1e-9
+    assert validate_connectivity(out, cm) == []
+
+
+def test_lone_gate_without_ancillas_lowers_as_multiplexor():
+    # complete-5 leaves the planner no ancilla for a C4-Ry
+    circ = Circuit(5, [cg.mcry(0.7, [0, 1, 2, 3], 4)])
+    out = lower(circ, complete_map(5))
+    assert sum(g.kind == cg.CNOT for g in out.gates) == 16
+    assert max_phase_aligned_diff(unitary_of(out), unitary_of(circ)) < 1e-10
+    # too wide for a multiplexor of linear size: the planner's error stands
+    with pytest.raises(LoweringError, match="no ancilla/edge assignment"):
+        lower(Circuit(7, [cg.mcry(0.7, list(range(6)), 6)]), complete_map(7))
 
 
 # SHA-256 of Circuit.to_json() for circuits whose controlled Ry gates each
