@@ -90,7 +90,26 @@ def _parts(args, config) -> list[str]:
     return parts
 
 
-def _per_part(config, key, default, parts, cast=float) -> dict:
+def _as_float(value, where: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{where}: {value!r} is not a float")
+
+
+def _as_int(value, where: str, positive: bool = True) -> int:
+    """A JSON integer, positive unless told otherwise; a bool, a float or a
+    string is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: {value!r} is not an integer")
+    if positive and value < 1:
+        raise SchemaError(f"{where}: {value!r} is not positive")
+    return value
+
+
+def _per_part(config, key, default, parts, parse=_as_float) -> dict:
     """One value per part from config[key]: a scalar for every part, or an
     object with an entry for each part."""
     value = config.get(key, default)
@@ -100,11 +119,7 @@ def _per_part(config, key, default, parts, cast=float) -> dict:
     for part in parts:
         if part not in value:
             raise SchemaError(f"config key {key!r} has no entry for part {part!r}")
-        try:
-            out[part] = cast(value[part])
-        except (TypeError, ValueError):
-            raise SchemaError(f"config key {key!r}, part {part!r}: {value[part]!r} "
-                              f"is not a {cast.__name__}") from None
+        out[part] = parse(value[part], f"config key {key!r}, part {part!r}")
     return out
 
 
@@ -118,12 +133,15 @@ def cmd_pipeline(args) -> int:
     mode = args.mode or config.get("mode", estimate.EXACT)
     if mode == "exact":
         mode = estimate.EXACT
-    seed = args.seed if args.seed is not None else int(config.get("seed", 7))
-    shots = args.shots if args.shots is not None else int(config.get("shots", 100_000))
+    seed = (args.seed if args.seed is not None
+            else _as_int(config.get("seed", 7), "config key 'seed'", positive=False))
+    shots = (args.shots if args.shots is not None
+             else _as_int(config.get("shots", 100_000), "config key 'shots'"))
     defaults = estimate.DEFAULT_HELIUM_GRIDS[mode]
     steps = _per_part(config, "lambda_step", {p: defaults[p][0] for p in parts}, parts)
-    totals = _per_part(config, "total_steps", {p: defaults[p][1] for p in parts}, parts, int)
-    start_candidates = int(config.get("start_candidates", 4))
+    totals = _per_part(config, "total_steps", {p: defaults[p][1] for p in parts}, parts,
+                       parse=_as_int)
+    start_candidates = _as_int(config.get("start_candidates", 4), "config key 'start_candidates'")
     grids = {p: (steps[p], totals[p]) for p in parts}
     multiplicity = {p: estimate.HELIUM_PARTS[p] for p in parts}
     c_e_cfg = config.get("c_e", "auto")

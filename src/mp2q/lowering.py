@@ -8,12 +8,20 @@ free qubits for each control not adjacent to the target. V-chains now serve
 only a lone controlled Ry, or a run too wide for a multiplexor of linear size
 (2^k CNOTs at most 8 per control operand): Toffoli pairs compress controls
 onto ancillas, and a pair whose controls are untouched in between needs no
-control-control CNOTs, so controls never have to be adjacent to each other. SWAPs are never emitted.
+control-control CNOTs, so controls never have to be adjacent to each other.
+
+A run of consecutive pauli_x_exp gates commutes too: conjugated by H on the
+union U of their supports it is one diagonal phase polynomial, which a
+Gray-code parity network builds with one Rz per nonzero parity and 2^m - 2
+CNOTs for m = |U| (Welch et al., New J. Phys. 16, 033040 (2014); Amy,
+Azimzadeh & Mosca, arXiv:1712.01859). A run lowers that way when U is a
+clique of the map and the network takes no more CNOTs than the per-string
+ladders; any other run goes string by string. SWAPs are never emitted.
 """
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -53,6 +61,11 @@ def lower_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     return _toffoli_ladder(c1, c2, target) + _control_phase(c1, c2)
 
 
+def _gray_flip(i: int, k: int) -> int:
+    """The bit in which gray(i) and gray(i + 1 mod 2^k) differ, for k >= 1."""
+    return min(k - 1, ((i + 1) & -(i + 1)).bit_length() - 1)
+
+
 def _gray_code_ry(table: np.ndarray, target: int,
                   cnots: list[list[Gate]]) -> list[Gate]:
     """Uniformly controlled Ry: Ry(table[x]) on target for control state x.
@@ -67,7 +80,7 @@ def _gray_code_ry(table: np.ndarray, target: int,
     out = []
     for i, a in enumerate(alpha):
         out.append(cg.ry(float(a), target))
-        out.extend(cnots[min(k - 1, ((i + 1) & -(i + 1)).bit_length() - 1)])
+        out.extend(cnots[_gray_flip(i, k)])
     return out
 
 
@@ -121,8 +134,9 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
 
 
 class _Planner:
-    """Edge-respecting realizations of Ry runs: Gray-code multiplexors, or a
-    per-gate V-chain search."""
+    """Edge-respecting realizations of Ry runs (Gray-code multiplexors, or a
+    per-gate V-chain search) and of X-string runs (Gray-code parity networks,
+    or per-string CNOT ladders)."""
 
     def __init__(self, coupling: CouplingMap):
         self.coupling = coupling
@@ -202,6 +216,42 @@ class _Planner:
             cnots.append(chain + [cg.cnot(eff, target)] + chain[::-1])
         return _gray_code_ry(table, target, cnots)
 
+    def x_string_run(self, run: list[Gate]) -> list[Gate]:
+        """Lower a run of commuting X-string exponentials. Two or more strings
+        whose support union U is a clique of the map, and whose ladders take
+        at least the 2^m - 2 CNOTs of a parity network on m = |U| >= 2
+        qubits, are H on U, the phase polynomial of the summed coefficients,
+        and H on U; any other run goes string by string through
+        `_pauli_x_exp_gates` (strings on one qubit stay Rx gates).
+
+        Qubit j of U (ascending) is bit j. Level m-1 down to 0 aims every
+        CNOT at U[level] from the controls U[:level] in Gray-code order, so
+        before step i the target holds the parity of mask (1 << level) |
+        gray(i); each nonempty mask is the parity of exactly one step."""
+        union = sorted({q for g in run for q in g.qubits})
+        m = len(union)
+        ladders = sum(2 * (len(g.qubits) - 1) for g in run)
+        if (len(run) < 2 or m < 2 or (1 << m) - 2 > ladders
+                or not all(self.coupling.has_edge(a, b) for a, b in combinations(union, 2))):
+            return [p for g in run
+                    for p in _pauli_x_exp_gates(g.angle, g.qubits, self.coupling)]
+        bit = {q: 1 << j for j, q in enumerate(union)}
+        table: dict[int, float] = {}
+        for g in run:
+            mask = sum(bit[q] for q in g.qubits)
+            table[mask] = table.get(mask, 0.0) + g.angle
+        hadamards = [cg.h(q) for q in union]
+        out = list(hadamards)
+        for level in range(m - 1, -1, -1):
+            target = union[level]
+            for i in range(1 << level):
+                coeff = table.get((1 << level) | (i ^ (i >> 1)), 0.0)
+                if coeff:
+                    out.append(cg.rz(-2 * coeff, target))
+                if level:
+                    out.append(cg.cnot(union[_gray_flip(i, level)], target))
+        return out + hadamards
+
     def plan(self, controls: tuple[int, ...], target: int, theta: float,
              free: set[int]) -> list[Gate]:
         controls = tuple(sorted(controls))
@@ -265,15 +315,17 @@ def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int
 _RY_KINDS = (RY, CRY, MCRY)
 
 
-def _ry_runs(gates: list[Gate]) -> list[list[Gate]]:
-    """Split a gate list into maximal runs of ry/cry/mcry gates on one target
-    whose controlled gates share a polarity; every other gate is a run of its
-    own."""
+def _commuting_runs(gates: list[Gate]) -> list[list[Gate]]:
+    """Split a gate list into maximal runs of commuting gates: ry/cry/mcry
+    gates on one target whose controlled gates share a polarity, or
+    pauli_x_exp gates; every other gate is a run of its own."""
     runs: list[list[Gate]] = []
     polarity = None
     for g in gates:
         run = runs[-1] if runs else None
-        if (run and g.kind in _RY_KINDS and run[0].kind in _RY_KINDS
+        if run and g.kind == run[0].kind == PAULI_X_EXP:
+            run.append(g)
+        elif (run and g.kind in _RY_KINDS and run[0].kind in _RY_KINDS
                 and g.target == run[0].target
                 and (g.kind == RY or polarity in (None, g.polarity))):
             run.append(g)
@@ -305,7 +357,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     planner = _Planner(coupling)
 
     out = Circuit(coupling.n_qubits)
-    for run in _ry_runs(placed.gates):
+    for run in _commuting_runs(placed.gates):
         g = run[0]
         if g.kind in _RY_KINDS:
             out.extend(planner.ry_run(run, free))
@@ -330,7 +382,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
                 raise LoweringError(f"lone toffoli needs edges {missing}")
             out.extend(lower_toffoli(c1, c2, t))
         elif g.kind == PAULI_X_EXP:
-            out.extend(_pauli_x_exp_gates(g.angle, g.qubits, coupling))
+            out.extend(planner.x_string_run(run))
         else:
             raise LoweringError(f"cannot lower gate kind {g.kind}")
 
@@ -352,11 +404,34 @@ def _pauli_x_exp_gates(coeff: float, qubits: tuple[int, ...],
 
 
 def _best_chain(qs: list[int], coupling: CouplingMap) -> tuple[int, ...]:
-    """Lexicographically smallest ordering of qs whose consecutive pairs are
-    coupling edges (all valid orderings tie on CNOT count)."""
-    for perm in permutations(qs):
-        if all(coupling.has_edge(perm[i], perm[i + 1]) for i in range(len(perm) - 1)):
-            return perm
+    """Lexicographically smallest ordering of the sorted qs whose consecutive
+    pairs are coupling edges (all valid orderings tie on CNOT count).
+
+    A depth-first search over the subgraph induced on qs, trying qubits in
+    ascending order, so the first complete path is the smallest; it records
+    each (end, visited set) state that has no completion, which bounds the
+    search by n * 2^n states instead of n! orderings."""
+    n = len(qs)
+    nbrs = [[j for j in range(n) if coupling.has_edge(qs[i], qs[j])] for i in range(n)]
+    dead: set[tuple[int, int]] = set()
+
+    def extend(path: list[int], seen: int) -> list[int] | None:
+        if len(path) == n:
+            return path
+        if (path[-1], seen) in dead:
+            return None
+        for j in nbrs[path[-1]]:
+            if not seen >> j & 1:
+                found = extend(path + [j], seen | 1 << j)
+                if found:
+                    return found
+        dead.add((path[-1], seen))
+        return None
+
+    for i in range(n):
+        found = extend([i], 1 << i)
+        if found:
+            return tuple(qs[j] for j in found)
     raise LoweringError(f"no edge-respecting chain through qubits {qs}")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from conftest import random_block, uint_generator
@@ -33,6 +35,14 @@ def test_subset_transforms_vs_brute_force():
         v = rng.normal(size=1 << q)
         assert np.allclose(subset_zeta(v), brute_subset_sum(v), atol=1e-13)
         assert np.allclose(subset_moebius(subset_zeta(v)), v, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda k: arrays(float, 1 << k, elements=st.floats(-10.0, 10.0))))
+def test_subset_and_walsh_transforms_round_trip(x):
+    assert np.allclose(subset_moebius(subset_zeta(x)), x, rtol=0.0, atol=1e-9)
+    assert np.allclose(fwht(fwht(x)), x.size * x, rtol=0.0, atol=1e-9 * x.size)
 
 
 def test_fwht_vs_hadamard_matrix():

@@ -173,6 +173,7 @@ def test_pipeline_rejects_bad_parts(tmp_path, capsys, helium_path, parts, messag
      "config key 'lambda_step', part 'I': 'wide' is not a float"),
     ({"parts": "I"}, "parts must be a list"),
     ({"parts": ["I", "I"]}, "part 'I' named twice"),
+    ({"lambda_step": True}, "config key 'lambda_step', part 'I': True is not a float"),
 ])
 def test_pipeline_rejects_bad_per_part_config(tmp_path, capsys, helium_path,
                                                 config, message):
@@ -184,6 +185,29 @@ def test_pipeline_rejects_bad_per_part_config(tmp_path, capsys, helium_path,
         args += ["--parts", "I,III"]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"total_steps": 12.7}, "config key 'total_steps', part 'IV': 12.7 is not an integer"),
+    ({"total_steps": {"IV": True}}, "config key 'total_steps', part 'IV': True is not an integer"),
+    ({"total_steps": {"IV": 0}}, "config key 'total_steps', part 'IV': 0 is not positive"),
+    ({"start_candidates": 2.9}, "config key 'start_candidates': 2.9 is not an integer"),
+    ({"start_candidates": 0}, "config key 'start_candidates': 0 is not positive"),
+    ({"shots": True}, "config key 'shots': True is not an integer"),
+    ({"shots": -5}, "config key 'shots': -5 is not positive"),
+    ({"seed": "seven"}, "config key 'seed': 'seven' is not an integer"),
+    ({"seed": 7.0}, "config key 'seed': 7.0 is not an integer"),
+])
+def test_pipeline_rejects_non_integer_counts(tmp_path, capsys, helium_path, config, message):
+    # before, 12.7 and 2.9 were truncated to 12 and 2 with exit 0, shots=true
+    # ran one shot and wrote E2 = 0, and "seven" failed without naming the key
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hf_data": helium_path, "parts": ["IV"],
+                               "mode": "sampled", **config}))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_pipeline_sampled_reproducible(tmp_path, helium_path, capsys):

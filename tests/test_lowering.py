@@ -11,7 +11,7 @@ from mp2q.circuits import Circuit, max_phase_aligned_diff, unitary_of
 from mp2q.coupling import (CouplingMap, complete_map, h_shape_7, named_map, path_map,
                            validate_connectivity)
 from mp2q.errors import LoweringError
-from mp2q.lowering import _ry_runs, lower, restricted_unitary, simplify_toffoli_pairs
+from mp2q.lowering import _commuting_runs, lower, restricted_unitary, simplify_toffoli_pairs
 
 
 def mcry_ref(n, controls, target, theta, polarity=1):
@@ -322,7 +322,7 @@ def test_runs_split_by_target_and_polarity():
              cg.cry(0.4, 0, 3, polarity=0), cg.mcry(0.9, [0, 1], 3, polarity=0),
              cg.ry(0.25, 3),                                      # joins the 0-run
              cg.cry(1.3, 1, 3)]                                   # polarity 1 again
-    runs = _ry_runs(gates)
+    runs = _commuting_runs(gates)
     assert [len(run) for run in runs] == [2, 2, 3, 1]
     circ = Circuit(4, gates)
     out = lower(circ, complete_map(4))
@@ -410,3 +410,122 @@ def test_coverage_never_costlier(part, helium_blocks):
         out = lower(_pinned_circuit(label, helium_blocks), named_map(name))
         cnots = sum(g.kind == cg.CNOT for g in out.gates)
         assert before is None or cnots <= before, (label, cnots, before)
+
+
+@st.composite
+def _x_string_runs(draw):
+    q = draw(st.integers(1, 5))
+    supports = st.sets(st.integers(0, q - 1), min_size=1).map(sorted)
+    pool = draw(st.lists(supports, min_size=1, max_size=4))  # repeats supports
+    coeffs = st.sampled_from([0.0, 0.0, 0.7]) | st.floats(-2.0, 2.0)
+    strings = draw(st.lists(st.tuples(st.sampled_from(pool) | supports, coeffs),
+                            min_size=2, max_size=12))
+    return q, [cg.pauli_x_exp(c, s) for s, c in strings]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_x_string_runs())
+def test_x_string_run_matches_source(case):
+    q, gates = case
+    cm = complete_map(q + 1)
+    source = Circuit(q, gates)
+    out = lower(source, cm)
+    assert validate_connectivity(out, cm) == []
+    sub = restricted_unitary(out, list(range(q)))
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
+    m = len({v for g in gates for v in g.qubits})
+    per_gate = sum(g.kind == cg.CNOT for x in gates
+                   for g in lower(Circuit(q, [x]), cm).gates)
+    cnots = sum(g.kind == cg.CNOT for g in out.gates)
+    assert cnots <= (1 << m) - 2 and cnots <= per_gate
+
+
+def test_runs_merge_x_strings():
+    x1, x2, x3 = (cg.pauli_x_exp(0.1, [0, 1]), cg.pauli_x_exp(0.2, [1]),
+                  cg.pauli_x_exp(0.3, [0, 2]))
+    runs = _commuting_runs([x1, x2, cg.ry(0.4, 2), x3, cg.x(0), x1])
+    assert [len(run) for run in runs] == [2, 1, 1, 1, 1]
+
+
+def test_dense_uint_is_one_parity_network():
+    # all 31 X-strings of a seeded Q=5 U_INT: 2^5 - 2 CNOTs instead of the
+    # 98 of their ladders
+    circ = builders.build_uint(random_block(np.random.default_rng(5), n_codes=32), 0.1)
+    cm = complete_map(6)
+    out = lower(circ, cm)
+    assert sum(g.kind == cg.CNOT for g in out.gates) == 30
+    assert max_phase_aligned_diff(restricted_unitary(out, list(range(5))),
+                                  unitary_of(circ)) < 1e-9
+
+
+# SHA-256 of Circuit.to_json() for X-string runs that lower string by string,
+# recorded before runs could become parity networks: a run whose union is not
+# a clique of the map, two strings on a union too wide for the CNOTs they
+# save, strings on one qubit (Rx gates, not H Rz H), and a lone string
+X_RUN = [cg.pauli_x_exp(0.3, [0, 1]), cg.pauli_x_exp(-0.2, [1, 2]),
+         cg.pauli_x_exp(0.5, [0, 1, 2]), cg.pauli_x_exp(0.1, [2])]
+PINNED_PER_STRING = {
+    "run.path-3": (X_RUN, path_map(3),
+                   "0d97d9b83f78ee18ad80db5bd29de4b3d7b71cd9b62f404726a45dd5dae58676"),
+    "wide-union.complete-4": (
+        [cg.pauli_x_exp(0.3, [0, 1]), cg.pauli_x_exp(-0.4, [2, 3])], complete_map(4),
+        "772c4b76131f310aeca83b1d0783b1ad0cc08e9be746dc7ad4661cdfe26b99c2"),
+    "one-qubit.complete-2": (
+        [cg.pauli_x_exp(0.3, [1]), cg.pauli_x_exp(-0.2, [1])], complete_map(2),
+        "37e8c23605c8fdcaf16168229f7add42523cd3931cf5c29e66feec2435dfea2b"),
+    "lone.complete-4": ([cg.pauli_x_exp(0.7, [0, 1, 2])], complete_map(4),
+                        "9a00c2437fdffb62278e0284b5fb72e6fe3e7a09c1e5122a352aaf4b8508b8c9"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PER_STRING))
+def test_x_strings_lower_per_string_as_before(label):
+    gates, cm, digest = PINNED_PER_STRING[label]
+    out = lower(Circuit(cm.n_qubits, gates), cm)
+    assert hashlib.sha256(out.to_json().encode()).hexdigest() == digest
+
+
+def test_x_run_on_clique_saves_cnots():
+    # the same run on complete-3 is one parity network: 6 CNOTs against 8
+    out = lower(Circuit(3, X_RUN), complete_map(3))
+    assert sum(g.kind == cg.CNOT for g in out.gates) == 6
+    assert max_phase_aligned_diff(unitary_of(out), unitary_of(Circuit(3, X_RUN))) < 1e-10
+
+
+def _chain_by_permutations(qs, cm):
+    from itertools import permutations
+
+    for perm in permutations(qs):
+        if all(cm.has_edge(a, b) for a, b in zip(perm, perm[1:])):
+            return perm
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda e: e[0] != e[1])),
+    st.sets(st.integers(0, n - 1), min_size=2).map(sorted))))
+def test_best_chain_matches_permutation_walk(case):
+    from mp2q.lowering import _best_chain
+
+    n, edges, qs = case
+    cm = CouplingMap.from_edges(n, edges, "random")
+    expected = _chain_by_permutations(qs, cm)
+    if expected is None:
+        with pytest.raises(LoweringError):
+            _best_chain(qs, cm)
+    else:
+        assert _best_chain(qs, cm) == expected
+
+
+def test_chainless_string_fails_fast():
+    # the string's 12 qubits are the leaves of a star: no two are adjacent,
+    # which a walk over the 12! orderings would find only after minutes
+    import time
+
+    star = CouplingMap.from_edges(13, [(0, leaf) for leaf in range(1, 13)], "star-13")
+    start = time.perf_counter()
+    with pytest.raises(LoweringError, match="no edge-respecting chain"):
+        lower(Circuit(13, [cg.pauli_x_exp(0.2, range(1, 13))]), star)
+    assert time.perf_counter() - start < 1.0
