@@ -18,26 +18,28 @@ VALUE = "value"
 SQRT = "sqrt"
 
 
-def subset_zeta(values: np.ndarray) -> np.ndarray:
-    """out[x] = sum over submasks m of x of values[m]."""
-    a = np.array(values, dtype=float)
+def _bit_pairs(values, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A copy of values as dtype, and for each bit b a (-1, 2, 2^b) view of it
+    whose middle axis pairs every index without bit b with its partner."""
+    a = np.array(values, dtype=dtype)
     q = (a.size - 1).bit_length()
     if a.size != 1 << q:
         raise ValueError("length must be a power of two")
-    for b in range(q):
-        v = a.reshape(-1, 2, 1 << b)
+    return a, [a.reshape(-1, 2, 1 << b) for b in range(q)]
+
+
+def subset_zeta(values: np.ndarray) -> np.ndarray:
+    """out[x] = sum over submasks m of x of values[m]."""
+    a, pairs = _bit_pairs(values, float)
+    for v in pairs:
         v[:, 1, :] += v[:, 0, :]
     return a
 
 
 def subset_moebius(values: np.ndarray) -> np.ndarray:
     """Inverse of subset_zeta over the bitwise-subset lattice."""
-    a = np.array(values, dtype=float)
-    q = (a.size - 1).bit_length()
-    if a.size != 1 << q:
-        raise ValueError("length must be a power of two")
-    for b in range(q):
-        v = a.reshape(-1, 2, 1 << b)
+    a, pairs = _bit_pairs(values, float)
+    for v in pairs:
         v[:, 1, :] -= v[:, 0, :]
     return a
 
@@ -45,12 +47,8 @@ def subset_moebius(values: np.ndarray) -> np.ndarray:
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform: out[k] = sum over m of
     (-1)^popcount(k & m) values[m]. Applied twice it multiplies by the length."""
-    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
-    q = (a.size - 1).bit_length()
-    if a.size != 1 << q:
-        raise ValueError("length must be a power of two")
-    for b in range(q):
-        v = a.reshape(-1, 2, 1 << b)
+    a, pairs = _bit_pairs(values, complex if np.iscomplexobj(values) else float)
+    for v in pairs:
         lo = v[:, 0, :].copy()
         v[:, 0, :] += v[:, 1, :]
         v[:, 1, :] = lo - v[:, 1, :]
@@ -73,10 +71,8 @@ class AngleTable:
     @property
     def targets(self) -> np.ndarray:
         t = subset_zeta(self.angles)
-        if self.polarity == ZERO_CONTROL:
-            full = (1 << self.n_control_qubits) - 1
-            t = t[np.arange(t.size) ^ full]
-        return t
+        # index x ^ (2^Q - 1): every control reads 0 as 1
+        return t[::-1] if self.polarity == ZERO_CONTROL else t
 
 
 def default_c_e(block: EriBlock) -> float:
@@ -121,8 +117,7 @@ def angles_from_targets(targets: np.ndarray, c_e: float, variant: str,
     targets = np.asarray(targets, dtype=float)
     q = (targets.size - 1).bit_length()
     if polarity == ZERO_CONTROL:
-        full = (1 << q) - 1
-        targets = targets[np.arange(targets.size) ^ full]
+        targets = targets[::-1]
     angles = subset_moebius(targets)
     table = AngleTable(q, angles, float(c_e), variant, polarity)
     check = np.max(np.abs(subset_zeta(angles) - targets))
@@ -326,10 +321,8 @@ def _mc_rz(theta: float, controls: list[int], target: int) -> list[Gate]:
 def _pattern_controlled_x_exp(coeff: float, string: list[int],
                               controls: list[int], pattern: int) -> list[Gate]:
     conj = [cg.x(c) for i, c in enumerate(controls) if not (pattern >> i) & 1]
-    pre = [cg.h(qb) for qb in string]
-    ladder = [cg.cnot(string[i], string[i + 1]) for i in range(len(string) - 1)]
     core = _mc_rz(-2.0 * coeff, controls, string[-1])
-    return conj + pre + ladder + core + ladder[::-1] + pre + conj
+    return conj + cg.x_string_ladder(string, string, core) + conj
 
 
 def build_utrans(mo_coefficients: np.ndarray, lam: float,

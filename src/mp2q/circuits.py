@@ -227,7 +227,8 @@ def controlled(circuit: Circuit, control: int) -> list[Gate]:
             out.append(mcry(g.angle, ctrls + (control,), g.target))
             out.extend(conj)
         elif g.kind == PAULI_X_EXP:
-            out.extend(_controlled_pauli_x_exp(g.angle, g.qubits, control))
+            out.extend(x_string_ladder(g.qubits, g.qubits,
+                                       _crz(-2 * g.angle, control, g.qubits[-1])))
         else:
             raise NotImplementedError(f"no controlled form for {g.kind}")
     return out
@@ -238,17 +239,14 @@ def _crz(theta: float, control: int, target: int) -> list[Gate]:
             rz(-theta / 2, target), cnot(control, target)]
 
 
-def _controlled_pauli_x_exp(coeff: float, qubits, control: int) -> list[Gate]:
-    qs = list(qubits)
-    pre = [h(q) for q in qs]
-    ladder = [cnot(qs[i], qs[i + 1]) for i in range(len(qs) - 1)]
-    core = _crz(-2 * coeff, control, qs[-1])
-    return pre + ladder + core + ladder[::-1] + pre
-
-
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a single gate (test/oracle use)."""
-    return unitary_of(Circuit(n_qubits, [gate]))
+def x_string_ladder(qubits, chain, core: list[Gate]) -> list[Gate]:
+    """H on `qubits`, a CNOT ladder along `chain` (an ordering of the qubits)
+    that leaves their parity on chain[-1], `core`, the ladder undone and H
+    again. With core a Z rotation on chain[-1] this is the exponential of the
+    X-string on `qubits`; with a controlled one, its controlled form."""
+    hadamards = [h(q) for q in qubits]
+    ladder = [cnot(a, b) for a, b in zip(chain, chain[1:])]
+    return hadamards + ladder + core + ladder[::-1] + hadamards
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

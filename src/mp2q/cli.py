@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, estimate, hfdata, lowering, mp2
 from .circuits import Circuit
-from .coupling import CouplingMap, named_map, pack_parallel_ue, validate_connectivity
+from .coupling import CouplingMap, named_map, pack_parallel_ue
 from .errors import LoweringError, NumericalError, SchemaError
 
 
@@ -222,28 +222,41 @@ def _coupling_from_arg(arg: str) -> CouplingMap:
     return named_map(arg)
 
 
+def _read_layout(path, n_qubits: int) -> dict[int, int]:
+    """A JSON object from qubits of the circuit, written as decimal strings,
+    to physical qubits, written as JSON integers."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: layout must be a JSON object, got {type(doc).__name__}")
+    qubits = {str(q): q for q in range(n_qubits)}
+    layout = {}
+    for key, value in doc.items():
+        if key not in qubits:
+            raise SchemaError(f"{path}: layout key {key!r} is not a qubit of the "
+                              f"{n_qubits}-qubit circuit")
+        layout[qubits[key]] = _as_int(value, f"{path}: layout entry {key!r}", positive=False)
+    return layout
+
+
 def cmd_lower(args) -> int:
     circuit = Circuit.load(args.circuit)
     coupling = _coupling_from_arg(args.coupling)
-    layout = None
-    if args.layout:
-        with open(args.layout) as fh:
-            layout = {int(k): int(v) for k, v in json.load(fh).items()}
+    layout = _read_layout(args.layout, circuit.n_qubits) if args.layout else None
     try:
+        # raises LoweringError on any connectivity violation
         lowered = lowering.lower(circuit, coupling, layout)
     except LoweringError as exc:
         print(json.dumps({"violations": None, "error": str(exc)}, indent=1))
         return 2
-    violations = validate_connectivity(lowered, coupling)
     out_path = Path(args.out or "lowered.json")
     _publish(out_path, lowered.to_json())
-    report = {"violations": [[i, list(pair)] for i, pair in violations],
-              "n_gates": len(lowered), "output": str(out_path)}
+    report = {"violations": [], "n_gates": len(lowered), "output": str(out_path)}
     if args.pack:
         embeddings = pack_parallel_ue(coupling, args.pack)
         report["parallel_embeddings"] = [sorted(e.values()) for e in embeddings]
     print(json.dumps(report, indent=1))
-    return 2 if violations else 0
+    return 0
 
 
 def _read_counts_csv(path) -> tuple[int, dict[int, np.ndarray]]:
@@ -276,6 +289,33 @@ def _read_counts_csv(path) -> tuple[int, dict[int, np.ndarray]]:
     return width - 1, tables
 
 
+def _read_theory_csv(path, q: int) -> dict[int, float]:
+    """Theory values from `input,value` rows: every input in 0..2^Q-1 named
+    exactly once, with a finite value."""
+    theory: dict[int, float] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {"input", "value"} <= set(reader.fieldnames or ()):
+            raise SchemaError(f"{path}: needs the columns input and value")
+        for row in reader:
+            where = f"{path} row {reader.line_num}"
+            try:
+                x, value = int(row["input"]), float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+            if not 0 <= x < 1 << q:
+                raise SchemaError(f"{where}: input {x} outside 0..{(1 << q) - 1}")
+            if x in theory:
+                raise SchemaError(f"{where}: input {x} named twice")
+            if not np.isfinite(value):
+                raise SchemaError(f"{where}: value {row['value']!r} is not finite")
+            theory[x] = value
+    missing = [x for x in range(1 << q) if x not in theory]
+    if missing:
+        raise SchemaError(f"{path}: no theory value for inputs {missing}")
+    return theory
+
+
 def cmd_correct(args) -> int:
     q, counts_all = _read_counts_csv(args.counts_all)
     q_lite, counts_lite = _read_counts_csv(args.counts_lite)
@@ -285,12 +325,7 @@ def cmd_correct(args) -> int:
     if missing:
         raise SchemaError(f"count tables missing inputs {missing}")
     corrected = estimate.correct_denominators(counts_all, counts_lite, q)
-    theory = None
-    if args.theory:
-        theory = {}
-        with open(args.theory, newline="") as fh:
-            for row in csv.DictReader(fh):
-                theory[int(row["input"])] = float(row["value"])
+    theory = _read_theory_csv(args.theory, q) if args.theory else None
     out_path = Path(args.out or "corrected.csv")
     fh = io.StringIO(newline="")
     w = csv.writer(fh)

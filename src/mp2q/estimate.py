@@ -194,15 +194,14 @@ def _plateau(x: np.ndarray, y: np.ndarray, slope: float) -> bool:
     return bool(observed <= 0.0 or predicted / observed > 1.25)
 
 
-def fit_zeta(sweep: SweepResult, window: tuple[int, int],
-             series: str = "signal") -> RegressionFit:
+def fit_zeta(sweep: SweepResult, window: tuple[int, int]) -> RegressionFit:
     """Ordinary least squares of zeta against lambda^2 over the window."""
     start, count = window
     rows = sweep.rows[start:start + count]
     if len(rows) < count:
         raise ValueError(f"window {window} exceeds sweep of {len(sweep.rows)} rows")
     x = np.array([r.lam_sq for r in rows])
-    y = np.array([r.zeta_signal if series == "signal" else r.zeta for r in rows])
+    y = np.array([r.zeta_signal for r in rows])
     slope, intercept, lse = _ols(x, y)
     return RegressionFit(slope, intercept, lse, (start, count), _plateau(x, y, slope))
 

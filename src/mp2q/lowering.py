@@ -10,6 +10,10 @@ only a lone controlled Ry, or a run too wide for a multiplexor of linear size
 onto ancillas, and a pair whose controls are untouched in between needs no
 control-control CNOTs, so controls never have to be adjacent to each other.
 
+Every relay comes from one breadth-first search over free qubits, `_relay`,
+which a multiplexor runs once per distinct control, a V-chain for its last
+one or two controls, and `lower` for a CNOT between non-adjacent qubits.
+
 A run of consecutive pauli_x_exp gates commutes too: conjugated by H on the
 union U of their supports it is one diagonal phase polynomial, which a
 Gray-code parity network builds with one Rz per nonzero parity and 2^m - 2
@@ -133,169 +137,155 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
     return out
 
 
-class _Planner:
-    """Edge-respecting realizations of Ry runs (Gray-code multiplexors, or a
-    per-gate V-chain search) and of X-string runs (Gray-code parity networks,
-    or per-string CNOT ladders)."""
+def _relay(coupling: CouplingMap, control: int, target: int,
+           free: set[int]) -> list[int]:
+    """The free qubits v1..vk of a shortest relay path control -> v1 -> ...
+    -> vk with vk adjacent to target, [] when control and target are adjacent.
+    The one relay search of lowering: a breadth-first search over free
+    qubits, neighbours in ascending order."""
+    if coupling.has_edge(control, target):
+        return []
+    seen = {control}
+    queue = deque([(control, [])])
+    while queue:
+        node, path = queue.popleft()
+        for nb in coupling.neighbors(node):
+            if nb in seen or nb == target or nb not in free:
+                continue
+            seen.add(nb)
+            if coupling.has_edge(nb, target):
+                return path + [nb]
+            queue.append((nb, path + [nb]))
+    raise LoweringError(
+        f"no free relay path from {control} to a neighbor of {target}")
 
-    def __init__(self, coupling: CouplingMap):
-        self.coupling = coupling
-        # (c1, c2, a) -> Toffoli ladder and its inverse. A planner serves one
-        # `lower` call, in which every U_E mcry shares its controls, so the
-        # same ladders recur; Gate is frozen, so sharing them is safe.
-        self._ladders: dict[tuple[int, int, int], tuple[list[Gate], list[Gate]]] = {}
 
-    def _relay_path(self, control: int, target: int, free: set[int]) -> list[int]:
-        """BFS for control -> v1 -> ... -> vk with vi free and vk adjacent to target."""
-        seen = {control}
-        queue = deque([(control, [])])
-        while queue:
-            node, path = queue.popleft()
-            for nb in self.coupling.neighbors(node):
-                if nb in seen or nb == target or nb not in free:
+def _copies(control: int, path: list[int]) -> tuple[int, list[Gate]]:
+    """The qubit that holds the control at the end of its relay path, and the
+    CNOTs that copy it there (none for an empty path)."""
+    hops = [control] + path
+    return hops[-1], [cg.cnot(a, b) for a, b in zip(hops, hops[1:])]
+
+
+def _relayed_cnot(control: int, target: int, path: list[int]) -> list[Gate]:
+    """CNOT(control, target) over a relay path: the copies, a CNOT from the
+    last copy, and the copies undone, which returns the path to |0>."""
+    carrier, copies = _copies(control, path)
+    return copies + [cg.cnot(carrier, target)] + copies[::-1]
+
+
+def _ry_run(coupling: CouplingMap, run: list[Gate], free: set[int]) -> list[Gate]:
+    """Lower a run of commuting Ry gates on one target. A run with two or
+    more controlled gates is one Gray-code multiplexor; a lone controlled Ry
+    keeps the V-chain and falls back to a multiplexor only where the V-chain
+    finds no ancilla assignment. Neither path builds a multiplexor whose size
+    outgrows the run (`_MUX_CNOTS_PER_CONTROL`)."""
+    controlled = [g for g in run if g.kind != RY]
+    k = len({c for g in controlled for c in g.controls})
+    fits = 1 << k <= _MUX_CNOTS_PER_CONTROL * sum(len(g.controls) for g in controlled)
+    if fits and len(controlled) > 1:
+        return _multiplexor(coupling, run, free)
+    try:
+        return [p for g in run for p in _one_gate(coupling, g, free)]
+    except LoweringError:
+        if not fits:
+            raise
+        return _multiplexor(coupling, run, free)
+
+
+def _one_gate(coupling: CouplingMap, g: Gate, free: set[int]) -> list[Gate]:
+    if g.kind == RY:
+        return [g]
+    conj = [cg.x(c) for c in g.controls] if g.polarity == ZERO_CONTROL else []
+    return conj + _v_chain(coupling, g.controls, g.target, g.angle, free) + conj
+
+
+def _multiplexor(coupling: CouplingMap, run: list[Gate], free: set[int]) -> list[Gate]:
+    target = run[0].target
+    # one relay search per distinct control, in order of first use
+    paths = {c: _relay(coupling, c, target, free)
+             for c in dict.fromkeys(c for g in run for c in g.controls)}
+    # bit 0 drives every other CNOT, so the nearest control takes it
+    controls = sorted(paths, key=lambda c: (len(paths[c]), c))
+    bit = {c: 1 << j for j, c in enumerate(controls)}
+    angles = np.zeros(1 << len(controls))
+    polarity = None
+    for g in run:
+        angles[sum(bit[c] for c in g.controls)] += g.angle
+        if g.kind != RY:
+            polarity = g.polarity
+    table = subset_zeta(angles)
+    if polarity == ZERO_CONTROL:
+        table = table[::-1]  # index x ^ (2^k - 1): every control reads 0 as 1
+    return _gray_code_ry(table, target, [_relayed_cnot(c, target, paths[c]) for c in controls])
+
+
+def _x_string_run(coupling: CouplingMap, run: list[Gate]) -> list[Gate]:
+    """Lower a run of commuting X-string exponentials. Two or more strings
+    whose support union U is a clique of the map, and whose ladders take
+    at least the 2^m - 2 CNOTs of a parity network on m = |U| >= 2
+    qubits, are H on U, the phase polynomial of the summed coefficients,
+    and H on U; any other run goes string by string through
+    `_pauli_x_exp_gates` (strings on one qubit stay Rx gates).
+
+    Qubit j of U (ascending) is bit j. Level m-1 down to 0 aims every
+    CNOT at U[level] from the controls U[:level] in Gray-code order, so
+    before step i the target holds the parity of mask (1 << level) |
+    gray(i); each nonempty mask is the parity of exactly one step."""
+    union = sorted({q for g in run for q in g.qubits})
+    m = len(union)
+    ladders = sum(2 * (len(g.qubits) - 1) for g in run)
+    if (len(run) < 2 or m < 2 or (1 << m) - 2 > ladders
+            or not all(coupling.has_edge(a, b) for a, b in combinations(union, 2))):
+        return [p for g in run for p in _pauli_x_exp_gates(g.angle, g.qubits, coupling)]
+    bit = {q: 1 << j for j, q in enumerate(union)}
+    table: dict[int, float] = {}
+    for g in run:
+        mask = sum(bit[q] for q in g.qubits)
+        table[mask] = table.get(mask, 0.0) + g.angle
+    hadamards = [cg.h(q) for q in union]
+    out = list(hadamards)
+    for level in range(m - 1, -1, -1):
+        target = union[level]
+        for i in range(1 << level):
+            coeff = table.get((1 << level) | (i ^ (i >> 1)), 0.0)
+            if coeff:
+                out.append(cg.rz(-2 * coeff, target))
+            if level:
+                out.append(cg.cnot(union[_gray_flip(i, level)], target))
+    return out + hadamards
+
+
+def _v_chain(coupling: CouplingMap, controls: tuple[int, ...], target: int,
+             theta: float, free: set[int]) -> list[Gate]:
+    """A lone C^k-Ry (k >= 1) on the map. Toffoli pairs compress two controls
+    onto a free ancilla adjacent to both until one or two remain; those reach
+    the target over relay paths, each avoiding the qubits of the earlier ones,
+    whose copies are held around the controlled Ry."""
+    controls = tuple(sorted(controls))
+    n = len(controls)
+    if n > 2 or not all(coupling.has_edge(c, target) for c in controls):
+        for ci, cj in combinations(controls, 2):
+            rest = tuple(q for q in controls if q not in (ci, cj))
+            for a in sorted(free):
+                if not (coupling.has_edge(ci, a) and coupling.has_edge(cj, a)):
                     continue
-                seen.add(nb)
-                if self.coupling.has_edge(nb, target):
-                    return path + [nb]
-                queue.append((nb, path + [nb]))
-        raise LoweringError(
-            f"no free relay path from {control} to a neighbor of {target}")
-
-    def _relayed_control(self, control: int, target: int, free: set[int]):
-        """Returns (effective control, copy-in gates, used ancillas)."""
-        if self.coupling.has_edge(control, target):
-            return control, [], []
-        path = self._relay_path(control, target, free)
-        hops = [control] + path
-        chain = [cg.cnot(hops[k], hops[k + 1]) for k in range(len(hops) - 1)]
-        return path[-1], chain, path
-
-    def ry_run(self, run: list[Gate], free: set[int]) -> list[Gate]:
-        """Lower a run of commuting Ry gates on one target. A run with two or
-        more controlled gates is one Gray-code multiplexor; a lone controlled
-        Ry keeps the V-chain planner and falls back to a multiplexor only where
-        the planner finds no ancilla assignment. Neither path builds a
-        multiplexor whose size outgrows the run (`_MUX_CNOTS_PER_CONTROL`)."""
-        controlled = [g for g in run if g.kind != RY]
-        k = len({c for g in controlled for c in g.controls})
-        fits = 1 << k <= _MUX_CNOTS_PER_CONTROL * sum(len(g.controls) for g in controlled)
-        if fits and len(controlled) > 1:
-            return self._multiplexor(run, free)
-        try:
-            return [p for g in run for p in self._one_gate(g, free)]
-        except LoweringError:
-            if not fits:
-                raise
-            return self._multiplexor(run, free)
-
-    def _one_gate(self, g: Gate, free: set[int]) -> list[Gate]:
-        if g.kind == RY:
-            return [g]
-        conj = [cg.x(c) for c in g.controls] if g.polarity == ZERO_CONTROL else []
-        return conj + self.plan(g.controls, g.target, g.angle, set(free)) + conj
-
-    def _multiplexor(self, run: list[Gate], free: set[int]) -> list[Gate]:
-        target = run[0].target
-        relays = {c: self._relayed_control(c, target, free)
-                  for g in run for c in g.controls}
-        # bit 0 drives every other CNOT, so the nearest control takes it
-        controls = sorted(relays, key=lambda c: (len(relays[c][2]), c))
-        bit = {c: 1 << j for j, c in enumerate(controls)}
-        angles = np.zeros(1 << len(controls))
-        polarity = None
-        for g in run:
-            angles[sum(bit[c] for c in g.controls)] += g.angle
-            if g.kind != RY:
-                polarity = g.polarity
-        table = subset_zeta(angles)
-        if polarity == ZERO_CONTROL:
-            table = table[::-1]  # index x ^ (2^k - 1): every control reads 0 as 1
-        cnots = []
-        for c in controls:
-            eff, chain, _ = relays[c]
-            cnots.append(chain + [cg.cnot(eff, target)] + chain[::-1])
-        return _gray_code_ry(table, target, cnots)
-
-    def x_string_run(self, run: list[Gate]) -> list[Gate]:
-        """Lower a run of commuting X-string exponentials. Two or more strings
-        whose support union U is a clique of the map, and whose ladders take
-        at least the 2^m - 2 CNOTs of a parity network on m = |U| >= 2
-        qubits, are H on U, the phase polynomial of the summed coefficients,
-        and H on U; any other run goes string by string through
-        `_pauli_x_exp_gates` (strings on one qubit stay Rx gates).
-
-        Qubit j of U (ascending) is bit j. Level m-1 down to 0 aims every
-        CNOT at U[level] from the controls U[:level] in Gray-code order, so
-        before step i the target holds the parity of mask (1 << level) |
-        gray(i); each nonempty mask is the parity of exactly one step."""
-        union = sorted({q for g in run for q in g.qubits})
-        m = len(union)
-        ladders = sum(2 * (len(g.qubits) - 1) for g in run)
-        if (len(run) < 2 or m < 2 or (1 << m) - 2 > ladders
-                or not all(self.coupling.has_edge(a, b) for a, b in combinations(union, 2))):
-            return [p for g in run
-                    for p in _pauli_x_exp_gates(g.angle, g.qubits, self.coupling)]
-        bit = {q: 1 << j for j, q in enumerate(union)}
-        table: dict[int, float] = {}
-        for g in run:
-            mask = sum(bit[q] for q in g.qubits)
-            table[mask] = table.get(mask, 0.0) + g.angle
-        hadamards = [cg.h(q) for q in union]
-        out = list(hadamards)
-        for level in range(m - 1, -1, -1):
-            target = union[level]
-            for i in range(1 << level):
-                coeff = table.get((1 << level) | (i ^ (i >> 1)), 0.0)
-                if coeff:
-                    out.append(cg.rz(-2 * coeff, target))
-                if level:
-                    out.append(cg.cnot(union[_gray_flip(i, level)], target))
-        return out + hadamards
-
-    def plan(self, controls: tuple[int, ...], target: int, theta: float,
-             free: set[int]) -> list[Gate]:
-        controls = tuple(sorted(controls))
-        n = len(controls)
-        if n == 0:
-            return [cg.ry(theta, target)]
-        if n == 1:
-            eff, chain, _ = self._relayed_control(controls[0], target, free)
-            return chain + _controlled_ry(theta, [eff], target) + chain[::-1]
-        if n == 2:
-            c1, c2 = controls
-            if self.coupling.has_edge(c1, target) and self.coupling.has_edge(c2, target):
-                return _controlled_ry(theta, [c2, c1], target)
-            compressed = self._compress_pair((c1, c2), controls, target, theta, free)
-            if compressed is not None:
-                return compressed
-            eff1, chain1, used1 = self._relayed_control(c1, target, free)
-            eff2, chain2, _ = self._relayed_control(c2, target, free - set(used1))
-            pre = chain1 + chain2
-            return pre + _controlled_ry(theta, [eff2, eff1], target) + pre[::-1]
-        compressed_any = None
-        for pair in combinations(controls, 2):
-            compressed_any = self._compress_pair(pair, controls, target, theta, free)
-            if compressed_any is not None:
-                return compressed_any
+                try:
+                    inner = _v_chain(coupling, rest + (a,), target, theta, free - {a})
+                except LoweringError:
+                    continue
+                return _toffoli_ladder(ci, cj, a) + inner + _toffoli_ladder_inverse(ci, cj, a)
+    if n > 2:
         raise LoweringError(
             f"no ancilla/edge assignment for {n}-control gate on {controls} -> {target}")
-
-    def _compress_pair(self, pair, controls, target, theta, free):
-        ci, cj = pair
-        rest = tuple(q for q in controls if q not in pair)
-        for a in sorted(free):
-            if not (self.coupling.has_edge(ci, a) and self.coupling.has_edge(cj, a)):
-                continue
-            try:
-                inner = self.plan(rest + (a,), target, theta, free - {a})
-            except LoweringError:
-                continue
-            key = (ci, cj, a)
-            if key not in self._ladders:
-                self._ladders[key] = (_toffoli_ladder(*key), _toffoli_ladder_inverse(*key))
-            ladder, inverse = self._ladders[key]
-            return ladder + inner + inverse
-        return None
+    carriers, copies, left = [], [], free
+    for c in controls:
+        path = _relay(coupling, c, target, left)
+        carrier, chain = _copies(c, path)
+        carriers.append(carrier)
+        copies += chain
+        left = left.difference(path)
+    return copies + _controlled_ry(theta, carriers[::-1], target) + copies[::-1]
 
 
 def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int]) -> Circuit:
@@ -354,22 +344,17 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     free = set(range(coupling.n_qubits)) - set(layout.values())
     if ancilla_pool is not None:
         free &= set(ancilla_pool)
-    planner = _Planner(coupling)
 
     out = Circuit(coupling.n_qubits)
     for run in _commuting_runs(placed.gates):
         g = run[0]
         if g.kind in _RY_KINDS:
-            out.extend(planner.ry_run(run, free))
+            out.extend(_ry_run(coupling, run, free))
         elif g.kind in NATIVE_KINDS and len(g.qubits) == 1:
             out.add(g)
         elif g.kind == CNOT:
             c, t = g.qubits
-            if coupling.has_edge(c, t):
-                out.add(g)
-            else:
-                eff, chain, _ = planner._relayed_control(c, t, free)
-                out.extend(chain + [cg.cnot(eff, t)] + chain[::-1])
+            out.extend(_relayed_cnot(c, t, _relay(coupling, c, t, free)))
         elif g.kind == SWAP:
             a, b = g.qubits
             if not coupling.has_edge(a, b):
@@ -382,7 +367,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
                 raise LoweringError(f"lone toffoli needs edges {missing}")
             out.extend(lower_toffoli(c1, c2, t))
         elif g.kind == PAULI_X_EXP:
-            out.extend(planner.x_string_run(run))
+            out.extend(_x_string_run(coupling, run))
         else:
             raise LoweringError(f"cannot lower gate kind {g.kind}")
 
@@ -398,9 +383,7 @@ def _pauli_x_exp_gates(coeff: float, qubits: tuple[int, ...],
     if len(qs) == 1:
         return [cg.rx(-2 * coeff, qs[0])]
     chain = _best_chain(qs, coupling)
-    pre = [cg.h(q) for q in qs]
-    ladder = [cg.cnot(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    return (pre + ladder + [cg.rz(-2 * coeff, chain[-1])] + ladder[::-1] + pre)
+    return cg.x_string_ladder(qs, chain, [cg.rz(-2 * coeff, chain[-1])])
 
 
 def _best_chain(qs: list[int], coupling: CouplingMap) -> tuple[int, ...]:

@@ -30,9 +30,11 @@ def _check_denominator(value: float, where: str) -> float:
 def mp2_energy(data: HartreeFockData, formula: str = CLOSED_SHELL,
                per_block: bool = False) -> Mp2Result:
     """Second-order correlation energy by direct summation."""
-    if formula == HELIUM_GROUND:
-        total = _helium_ground(data)
-    elif formula == CLOSED_SHELL:
+    # helium-ground is the closed-shell sum for one occupied orbital, where
+    # each term (2<00|rs><rs|00> - <00|rs><rs|00>) / den is <00|rs><rs|00> / den
+    if formula == HELIUM_GROUND and data.n_occupied != 1:
+        raise ValueError("helium-ground formula needs exactly one occupied spatial orbital")
+    if formula in (HELIUM_GROUND, CLOSED_SHELL):
         total = _closed_shell(data)
     elif formula == SPIN_ORBITAL:
         total = _spin_orbital(data)
@@ -43,19 +45,6 @@ def mp2_energy(data: HartreeFockData, formula: str = CLOSED_SHELL,
         for blk in partition(data, helium_scheme(data)):
             blocks[blk.label] = block_energy(blk)
     return Mp2Result(total, blocks, formula)
-
-
-def _helium_ground(data: HartreeFockData) -> float:
-    if data.n_occupied != 1:
-        raise ValueError("helium-ground formula needs exactly one occupied spatial orbital")
-    eps = data.orbital_energies
-    eri = data.eri_mo
-    total = 0.0
-    for r in data.virtual_orbitals:
-        for s in data.virtual_orbitals:
-            den = _check_denominator(2 * eps[0] - eps[r] - eps[s], f"(0,0,{r},{s})")
-            total += eri[0, 0, r, s] * eri[r, s, 0, 0] / den
-    return total
 
 
 def _closed_shell(data: HartreeFockData) -> float:

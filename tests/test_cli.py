@@ -457,3 +457,65 @@ def test_correct_rejects_tables_of_different_width(tmp_path, capsys):
     assert main(["correct", "--counts-all", str(all_csv), "--counts-lite",
                  str(lite_csv), "--out", str(tmp_path / "out.csv")]) == 2
     assert "disagree on Q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout, reason", [
+    ({"0": 0.9, "1": 1, "2": 2}, "layout entry '0': 0.9 is not an integer"),
+    ({"0": True, "1": 1, "2": 2}, "layout entry '0': True is not an integer"),
+    ({"0": "0", "1": 1, "2": 2}, "layout entry '0': '0' is not an integer"),
+    ([0, 1, 2], "layout must be a JSON object, got list"),
+    ({"0": 0, "1": 1, "2": 2, "7": 3}, "layout key '7' is not a qubit of the 3-qubit circuit"),
+    ({"0": 0, "01": 1, "2": 2}, "layout key '01' is not a qubit"),
+])
+def test_lower_rejects_malformed_layout(tmp_path, capsys, layout, reason):
+    circ_path, layout_path = tmp_path / "c.json", tmp_path / "layout.json"
+    Circuit(3, [cg.cnot(0, 2), cg.h(1)]).save(circ_path)
+    layout_path.write_text(json.dumps(layout))
+    out_path = tmp_path / "low.json"
+    rc = main(["lower", "--circuit", str(circ_path), "--coupling", "complete-4",
+               "--layout", str(layout_path), "--out", str(out_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(layout_path) in err and reason in err
+    assert not out_path.exists()
+
+
+def test_lower_accepts_integer_layout(tmp_path, capsys):
+    circ_path, layout_path = tmp_path / "c.json", tmp_path / "layout.json"
+    Circuit(3, [cg.cnot(0, 2), cg.h(1)]).save(circ_path)
+    layout_path.write_text(json.dumps({"0": 3, "1": 0, "2": 1}))
+    out_path = tmp_path / "low.json"
+    assert main(["lower", "--circuit", str(circ_path), "--coupling", "complete-4",
+                 "--layout", str(layout_path), "--out", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+    assert Circuit.load(out_path).gates == [cg.cnot(3, 1), cg.h(0)]
+
+
+def _theory_rows():
+    return [[x, "0.5"] for x in range(16)]
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    (_theory_rows()[:15], None, "no theory value for inputs [15]"),
+    (_theory_rows()[:3] + [[3, "nan"]] + _theory_rows()[4:], 5, "value 'nan' is not finite"),
+    (_theory_rows()[:3] + [[3, "-inf"]] + _theory_rows()[4:], 5, "is not finite"),
+    (_theory_rows()[:3] + [[3, "abc"]] + _theory_rows()[4:], 5, "could not convert"),
+    (_theory_rows()[:3] + [["3.0", "0.5"]] + _theory_rows()[4:], 5, "invalid literal"),
+    (_theory_rows() + [[3, "0.5"]], 18, "input 3 named twice"),
+    (_theory_rows() + [[16, "0.5"]], 18, "input 16 outside 0..15"),
+])
+def test_correct_rejects_bad_theory(tmp_path, capsys, rows, line, reason):
+    counts, theory = tmp_path / "counts.csv", tmp_path / "theory.csv"
+    _write_counts_csv(counts, _valid_counts())
+    with open(theory, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["input", "value"])
+        w.writerows(rows)
+    out_path = tmp_path / "out.csv"
+    rc = main(["correct", "--counts-all", str(counts), "--counts-lite", str(counts),
+               "--theory", str(theory), "--out", str(out_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(theory) in err and reason in err
+    assert line is None or f"row {line}:" in err
+    assert not out_path.exists()

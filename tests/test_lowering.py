@@ -270,7 +270,7 @@ def test_lowered_bytes_pinned(label, helium_blocks):
 
 
 def test_ladders_not_shared_across_calls(helium_blocks):
-    # the Toffoli ladders are reused within one lower call, never across calls
+    # every lower call builds its own gates: no call shares gate objects with another
     ue = builders.build_ue(builders.solve_angles(helium_blocks["I"]))
     first, second = lower(ue, h_shape_7()), lower(ue, h_shape_7())
     assert first.gates == second.gates
@@ -529,3 +529,72 @@ def test_chainless_string_fails_fast():
     with pytest.raises(LoweringError, match="no edge-respecting chain"):
         lower(Circuit(13, [cg.pauli_x_exp(0.2, range(1, 13))]), star)
     assert time.perf_counter() - start < 1.0
+
+
+# SHA-256 over the lowered Circuit.to_json(), or the LoweringError message, of
+# a seeded list of lone C^k-Ry gates (k = 0..4, both polarities) and of CNOTs
+# between every ordered pair of five logical qubits, on maps where controls
+# are often relayed or find no relay; recorded before the relay search became
+# one function, so any change to a relay path, to the V-chain's ancillas or to
+# an error message shows here
+RELAY_MAPS = ("h-shape-9", "grid-2x4", "path-5", "ibm-27-heavy-hex")
+PINNED_RELAYED = "098bdc1f5c6d27f9d3a419400970536f9a225f9d404cd415f27ee0bfa4b84c03"
+
+
+def _relayed_cases():
+    rng = np.random.default_rng(15)
+    for name in RELAY_MAPS:
+        cm = named_map(name)
+        for k in range(5):
+            for polarity in (cg.ZERO_CONTROL, cg.ONE_CONTROL):
+                for _ in range(3):
+                    qs = [int(q) for q in rng.permutation(5)]
+                    theta = float(rng.uniform(-2.0, 2.0))
+                    yield cm, Circuit(5, [cg.mcry(theta, qs[1:1 + k], qs[0], polarity)])
+        for c in range(5):
+            for t in range(5):
+                if c != t:
+                    yield cm, Circuit(5, [cg.cnot(c, t)])
+
+
+def test_relayed_lowerings_pinned():
+    digest = hashlib.sha256()
+    for cm, circ in _relayed_cases():
+        try:
+            digest.update(lower(circ, cm).to_json().encode())
+        except LoweringError as exc:
+            digest.update(f"LoweringError: {exc}".encode())
+    assert digest.hexdigest() == PINNED_RELAYED
+
+
+@st.composite
+def _lone_gates_on_maps(draw):
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    tree = {(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=n))
+    cm = CouplingMap.from_edges(n, tree | extra, "random-connected")
+    k = draw(st.integers(1, min(4, n - 1)))
+    width = draw(st.integers(k + 1, n))  # the other qubits are free ancillas
+    qs = draw(st.permutations(range(width)))
+    polarity = draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL]))
+    gates = [cg.mcry(draw(st.floats(-3.0, 3.0)), qs[1:k + 1], qs[0], polarity)]
+    if draw(st.booleans()):
+        gates.append(cg.ry(draw(st.floats(-3.0, 3.0)), qs[0]))
+    return cm, Circuit(width, gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lone_gates_on_maps())
+def test_lone_gate_lowering_is_sound(case):
+    # a lone C^k-Ry either has no edge-respecting realization or is lowered
+    # exactly, ancillas restored, on any connected map
+    cm, source = case
+    try:
+        out = lower(source, cm)
+    except LoweringError:
+        return
+    assert validate_connectivity(out, cm) == []
+    sub = restricted_unitary(out, list(range(source.n_qubits)))
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
