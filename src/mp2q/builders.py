@@ -322,7 +322,7 @@ def _pattern_controlled_x_exp(coeff: float, string: list[int],
                               controls: list[int], pattern: int) -> list[Gate]:
     conj = [cg.x(c) for i, c in enumerate(controls) if not (pattern >> i) & 1]
     core = _mc_rz(-2.0 * coeff, controls, string[-1])
-    return conj + cg.x_string_ladder(string, string, core) + conj
+    return conj + cg.x_string_ladder(string, zip(string, string[1:]), core) + conj
 
 
 def build_utrans(mo_coefficients: np.ndarray, lam: float,

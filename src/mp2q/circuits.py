@@ -227,7 +227,7 @@ def controlled(circuit: Circuit, control: int) -> list[Gate]:
             out.append(mcry(g.angle, ctrls + (control,), g.target))
             out.extend(conj)
         elif g.kind == PAULI_X_EXP:
-            out.extend(x_string_ladder(g.qubits, g.qubits,
+            out.extend(x_string_ladder(g.qubits, zip(g.qubits, g.qubits[1:]),
                                        _crz(-2 * g.angle, control, g.qubits[-1])))
         else:
             raise NotImplementedError(f"no controlled form for {g.kind}")
@@ -239,13 +239,13 @@ def _crz(theta: float, control: int, target: int) -> list[Gate]:
             rz(-theta / 2, target), cnot(control, target)]
 
 
-def x_string_ladder(qubits, chain, core: list[Gate]) -> list[Gate]:
-    """H on `qubits`, a CNOT ladder along `chain` (an ordering of the qubits)
-    that leaves their parity on chain[-1], `core`, the ladder undone and H
-    again. With core a Z rotation on chain[-1] this is the exponential of the
-    X-string on `qubits`; with a controlled one, its controlled form."""
+def x_string_ladder(qubits, pairs, core: list[Gate]) -> list[Gate]:
+    """H on `qubits`, a CNOT per (control, target) pair in order, which
+    leaves their parity on the last target, `core`, the CNOTs undone and H
+    again. With core a Z rotation on that qubit this is the exponential of
+    the X-string on `qubits`; with a controlled one, its controlled form."""
     hadamards = [h(q) for q in qubits]
-    ladder = [cnot(a, b) for a, b in zip(chain, chain[1:])]
+    ladder = [cnot(a, b) for a, b in pairs]
     return hadamards + ladder + core + ladder[::-1] + hadamards
 
 

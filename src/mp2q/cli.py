@@ -259,14 +259,26 @@ def cmd_lower(args) -> int:
     return 0
 
 
+def _csv_rows(fh, path, columns: tuple[str, ...]) -> csv.DictReader:
+    """A DictReader over fh whose header names every one of columns."""
+    reader = csv.DictReader(fh)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise SchemaError(f"{path}: needs the columns {', '.join(columns)}; "
+                          f"missing {', '.join(missing)}")
+    return reader
+
+
 def _read_counts_csv(path) -> tuple[int, dict[int, np.ndarray]]:
     """Count tables keyed by register input, each an array over the 2^(Q+1)
     outcomes. The first outcome string fixes Q+1; every row must match it,
-    name an input in 0..2^Q-1 and hold a finite, non-negative count."""
+    name an input in 0..2^Q-1 and an (input, outcome) pair no earlier row
+    named, and hold a finite, non-negative count."""
     tables: dict[int, np.ndarray] = {}
+    seen: set[tuple[int, str]] = set()
     width = None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = _csv_rows(fh, path, ("input", "outcome", "count"))
         for row in reader:
             where, outcome = f"{path} row {reader.line_num}", row["outcome"] or ""
             width = width or max(len(outcome), 2)
@@ -282,6 +294,9 @@ def _read_counts_csv(path) -> tuple[int, dict[int, np.ndarray]]:
             if not (np.isfinite(count) and count >= 0.0):
                 raise SchemaError(f"{where}: count {row['count']!r} is not finite "
                                   f"and non-negative")
+            if (x, outcome) in seen:
+                raise SchemaError(f"{where}: input {x} outcome {outcome} named twice")
+            seen.add((x, outcome))
             code = sum(1 << i for i, bit in enumerate(reversed(outcome)) if bit == "1")
             tables.setdefault(x, np.zeros(1 << width))[code] = count
     if width is None:
@@ -294,9 +309,7 @@ def _read_theory_csv(path, q: int) -> dict[int, float]:
     exactly once, with a finite value."""
     theory: dict[int, float] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"input", "value"} <= set(reader.fieldnames or ()):
-            raise SchemaError(f"{path}: needs the columns input and value")
+        reader = _csv_rows(fh, path, ("input", "value"))
         for row in reader:
             where = f"{path} row {reader.line_num}"
             try:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import statevec
-from .builders import (default_base_state, default_c_e, fwht, ratio_table,
-                       solve_angles)
+from .builders import SQRT, _targets, default_base_state, default_c_e, fwht, ratio_table
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
@@ -144,11 +143,11 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     Rows are the closed form of the U_INT (and U_E) circuit of
     builders.build_uint / build_pipeline, which stay as its test oracle."""
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
-    angles = solve_angles(block, c_e=c_e)
+    targets = _targets(ratio_table(block, c_e), SQRT)
     base = default_base_state(block) if base_state is None else base_state
     spectrum = _uint_spectrum(block, base)
     # U_E rotates the readout of register input x by the target angle T_x
-    weights = None if config.circuit == "uint" else np.sin(angles.targets / 2) ** 2
+    weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
     rows = [_sweep_row(spectrum, weights, config, base, s) for s in range(config.n_rows())]
     readout = None if config.circuit == "uint" else block.n_qubits
     return SweepResult(part or "block", c_e, base, block.n_qubits, readout,
@@ -320,7 +319,7 @@ def ue_response_tables(block: EriBlock, c_e: float | None = None,
     exact expected weights (shots = 1)."""
     if c_e is None:
         c_e = default_c_e(block)
-    half = solve_angles(block, c_e=c_e).targets / 2
+    half = _targets(ratio_table(block, c_e), SQRT) / 2
     q = block.n_qubits
     tables = {}
     for x in range(1 << q):

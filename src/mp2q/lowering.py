@@ -10,9 +10,10 @@ only a lone controlled Ry, or a run too wide for a multiplexor of linear size
 onto ancillas, and a pair whose controls are untouched in between needs no
 control-control CNOTs, so controls never have to be adjacent to each other.
 
-Every relay comes from one breadth-first search over free qubits, `_relay`,
-which a multiplexor runs once per distinct control, a V-chain for its last
-one or two controls, and `lower` for a CNOT between non-adjacent qubits.
+Every relay comes from one breadth-first search over free qubits toward a
+set of goal qubits, `_relay`, which a multiplexor runs once per distinct
+control, a V-chain for its last one or two controls, `lower` for a CNOT
+between non-adjacent qubits, and an X-string to grow its parity tree.
 
 A run of consecutive pauli_x_exp gates commutes too: conjugated by H on the
 union U of their supports it is one diagonal phase polynomial, which a
@@ -20,7 +21,9 @@ Gray-code parity network builds with one Rz per nonzero parity and 2^m - 2
 CNOTs for m = |U| (Welch et al., New J. Phys. 16, 033040 (2014); Amy,
 Azimzadeh & Mosca, arXiv:1712.01859). A run lowers that way when U is a
 clique of the map and the network takes no more CNOTs than the per-string
-ladders; any other run goes string by string. SWAPs are never emitted.
+ladders; any other run goes string by string, each parity on a Steiner tree
+(Cowtan et al., arXiv:1906.01734; Kissinger & Meijer-van de Griend,
+arXiv:1904.00633). SWAPs are never emitted.
 """
 from __future__ import annotations
 
@@ -137,27 +140,28 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
     return out
 
 
-def _relay(coupling: CouplingMap, control: int, target: int,
+def _relay(coupling: CouplingMap, control: int, goals: set[int],
            free: set[int]) -> list[int]:
     """The free qubits v1..vk of a shortest relay path control -> v1 -> ...
-    -> vk with vk adjacent to target, [] when control and target are adjacent.
-    The one relay search of lowering: a breadth-first search over free
+    -> vk with vk adjacent to a goal qubit, [] when control is adjacent to
+    one. The one search of lowering: a breadth-first search over free
     qubits, neighbours in ascending order."""
-    if coupling.has_edge(control, target):
+    near = set().union(*(coupling.adjacency[g] for g in goals))
+    if control in near:
         return []
     seen = {control}
     queue = deque([(control, [])])
     while queue:
         node, path = queue.popleft()
         for nb in coupling.neighbors(node):
-            if nb in seen or nb == target or nb not in free:
+            if nb in seen or nb in goals or nb not in free:
                 continue
             seen.add(nb)
-            if coupling.has_edge(nb, target):
+            if nb in near:
                 return path + [nb]
             queue.append((nb, path + [nb]))
-    raise LoweringError(
-        f"no free relay path from {control} to a neighbor of {target}")
+    raise LoweringError(f"no free relay path from {control} to a neighbor of "
+                        f"{' or '.join(map(str, sorted(goals)))}")
 
 
 def _copies(control: int, path: list[int]) -> tuple[int, list[Gate]]:
@@ -203,7 +207,7 @@ def _one_gate(coupling: CouplingMap, g: Gate, free: set[int]) -> list[Gate]:
 def _multiplexor(coupling: CouplingMap, run: list[Gate], free: set[int]) -> list[Gate]:
     target = run[0].target
     # one relay search per distinct control, in order of first use
-    paths = {c: _relay(coupling, c, target, free)
+    paths = {c: _relay(coupling, c, {target}, free)
              for c in dict.fromkeys(c for g in run for c in g.controls)}
     # bit 0 drives every other CNOT, so the nearest control takes it
     controls = sorted(paths, key=lambda c: (len(paths[c]), c))
@@ -220,13 +224,43 @@ def _multiplexor(coupling: CouplingMap, run: list[Gate], free: set[int]) -> list
     return _gray_code_ry(table, target, [_relayed_cnot(c, target, paths[c]) for c in controls])
 
 
-def _x_string_run(coupling: CouplingMap, run: list[Gate]) -> list[Gate]:
+def _x_string(coupling: CouplingMap, g: Gate, free: set[int]) -> list[Gate]:
+    """exp(i*theta*X^S) for S = g.qubits (an Rx where |S| = 1): H on S, the
+    CNOTs of a parity tree onto its root max(S), Rz on the root, the CNOTs
+    undone and H on S. The tree grows by `_relay`: at each step the remaining
+    qubit with the shortest relay to the tree (the largest on a tie) joins it
+    at the smallest tree neighbour, with the relay's free qubits as Steiner
+    points, which start and end at |0>. Each (child, parent) edge is a CNOT,
+    children first. Where S induces a connected subgraph of the map the tree
+    is on S alone: 2(|S| - 1) CNOTs."""
+    qs = sorted(g.qubits)
+    if len(qs) == 1:
+        return [cg.rx(-2 * g.angle, qs[0])]
+    tree, rest, pairs = {qs[-1]}, qs[:-1], []
+    while rest:
+        paths = {}
+        for q in rest:
+            try:
+                paths[q] = _relay(coupling, q, tree, free)
+            except LoweringError:
+                continue
+        if not paths:
+            raise LoweringError(f"no edge-respecting chain through qubits {qs}")
+        q = min(paths, key=lambda q: (len(paths[q]), -q))
+        hops = [q] + paths[q]
+        parent = min(coupling.adjacency[hops[-1]] & tree)
+        pairs = list(zip(hops, hops[1:] + [parent])) + pairs
+        tree.update(hops)
+        rest.remove(q)
+    return cg.x_string_ladder(qs, pairs, [cg.rz(-2 * g.angle, qs[-1])])
+
+
+def _x_string_run(coupling: CouplingMap, run: list[Gate], free: set[int]) -> list[Gate]:
     """Lower a run of commuting X-string exponentials. Two or more strings
     whose support union U is a clique of the map, and whose ladders take
     at least the 2^m - 2 CNOTs of a parity network on m = |U| >= 2
     qubits, are H on U, the phase polynomial of the summed coefficients,
-    and H on U; any other run goes string by string through
-    `_pauli_x_exp_gates` (strings on one qubit stay Rx gates).
+    and H on U; any other run goes string by string through `_x_string`.
 
     Qubit j of U (ascending) is bit j. Level m-1 down to 0 aims every
     CNOT at U[level] from the controls U[:level] in Gray-code order, so
@@ -237,7 +271,7 @@ def _x_string_run(coupling: CouplingMap, run: list[Gate]) -> list[Gate]:
     ladders = sum(2 * (len(g.qubits) - 1) for g in run)
     if (len(run) < 2 or m < 2 or (1 << m) - 2 > ladders
             or not all(coupling.has_edge(a, b) for a, b in combinations(union, 2))):
-        return [p for g in run for p in _pauli_x_exp_gates(g.angle, g.qubits, coupling)]
+        return [p for g in run for p in _x_string(coupling, g, free)]
     bit = {q: 1 << j for j, q in enumerate(union)}
     table: dict[int, float] = {}
     for g in run:
@@ -280,7 +314,7 @@ def _v_chain(coupling: CouplingMap, controls: tuple[int, ...], target: int,
             f"no ancilla/edge assignment for {n}-control gate on {controls} -> {target}")
     carriers, copies, left = [], [], free
     for c in controls:
-        path = _relay(coupling, c, target, left)
+        path = _relay(coupling, c, {target}, left)
         carrier, chain = _copies(c, path)
         carriers.append(carrier)
         copies += chain
@@ -354,7 +388,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
             out.add(g)
         elif g.kind == CNOT:
             c, t = g.qubits
-            out.extend(_relayed_cnot(c, t, _relay(coupling, c, t, free)))
+            out.extend(_relayed_cnot(c, t, _relay(coupling, c, {t}, free)))
         elif g.kind == SWAP:
             a, b = g.qubits
             if not coupling.has_edge(a, b):
@@ -367,7 +401,7 @@ def lower(circuit: Circuit, coupling: CouplingMap,
                 raise LoweringError(f"lone toffoli needs edges {missing}")
             out.extend(lower_toffoli(c1, c2, t))
         elif g.kind == PAULI_X_EXP:
-            out.extend(_x_string_run(coupling, run))
+            out.extend(_x_string_run(coupling, run, free))
         else:
             raise LoweringError(f"cannot lower gate kind {g.kind}")
 
@@ -375,47 +409,6 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     if violations:
         raise LoweringError(f"lowering left connectivity violations: {violations}")
     return out
-
-
-def _pauli_x_exp_gates(coeff: float, qubits: tuple[int, ...],
-                       coupling: CouplingMap) -> list[Gate]:
-    qs = sorted(qubits)
-    if len(qs) == 1:
-        return [cg.rx(-2 * coeff, qs[0])]
-    chain = _best_chain(qs, coupling)
-    return cg.x_string_ladder(qs, chain, [cg.rz(-2 * coeff, chain[-1])])
-
-
-def _best_chain(qs: list[int], coupling: CouplingMap) -> tuple[int, ...]:
-    """Lexicographically smallest ordering of the sorted qs whose consecutive
-    pairs are coupling edges (all valid orderings tie on CNOT count).
-
-    A depth-first search over the subgraph induced on qs, trying qubits in
-    ascending order, so the first complete path is the smallest; it records
-    each (end, visited set) state that has no completion, which bounds the
-    search by n * 2^n states instead of n! orderings."""
-    n = len(qs)
-    nbrs = [[j for j in range(n) if coupling.has_edge(qs[i], qs[j])] for i in range(n)]
-    dead: set[tuple[int, int]] = set()
-
-    def extend(path: list[int], seen: int) -> list[int] | None:
-        if len(path) == n:
-            return path
-        if (path[-1], seen) in dead:
-            return None
-        for j in nbrs[path[-1]]:
-            if not seen >> j & 1:
-                found = extend(path + [j], seen | 1 << j)
-                if found:
-                    return found
-        dead.add((path[-1], seen))
-        return None
-
-    for i in range(n):
-        found = extend([i], 1 << i)
-        if found:
-            return tuple(qs[j] for j in found)
-    raise LoweringError(f"no edge-respecting chain through qubits {qs}")
 
 
 def restricted_unitary(lowered: Circuit, data_qubits: list[int]) -> np.ndarray:

@@ -432,6 +432,7 @@ def _valid_counts():
     (["3", "10011", "inf"], "not finite"),
     (["3", "10011", "-2"], "non-negative"),
     (["3", "10011", "many"], "could not convert"),
+    (["3", "10011", "300"], "input 3 outcome 10011 named twice"),
 ])
 def test_correct_rejects_malformed_row(tmp_path, capsys, row, reason):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -446,6 +447,25 @@ def test_correct_rejects_malformed_row(tmp_path, capsys, row, reason):
         assert rc == 2
         err = capsys.readouterr().err
         assert f"row {line}" in err and reason in err
+
+
+@pytest.mark.parametrize("columns", [["input", "outcome"], ["input", "count"],
+                                     ["outcome", "count"]])
+def test_correct_rejects_missing_column(tmp_path, capsys, columns):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    _write_counts_csv(good, _valid_counts())
+    with open(good, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(bad, "w", newline="") as fh:
+        w = csv.DictWriter(fh, columns, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+    missing = ({"input", "outcome", "count"} - set(columns)).pop()
+    rc = main(["correct", "--counts-all", str(good), "--counts-lite", str(bad),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"missing {missing}" in err
 
 
 def test_correct_rejects_tables_of_different_width(tmp_path, capsys):

@@ -444,3 +444,15 @@ def test_sweep_rejects_rows_that_do_not_sum_to_one():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="probabilities sum to nan"):
         run_block_sweep(blk, SweepConfig(1e308, 3, start_candidates=0))
+
+
+def test_wide_block_sweeps_without_angle_solve():
+    # at Q = 20 the Moebius round trip of solve_angles drifts past its 1e-12
+    # check; the sweep reads the U_E targets directly and needs no angles
+    q = 20
+    blk = random_block(np.random.default_rng(0), n_codes=1 << q, gamma_max=1.2 / 2 ** (q / 2))
+    sweep = run_block_sweep(blk, SweepConfig(0.01, 2, start_candidates=0))
+    assert len(sweep.rows) == 2
+    kappa = ratio_table(blk, sweep.c_e)
+    assert sweep.rows[0].zeta == pytest.approx(kappa[sweep.base_state], abs=1e-12)
+    assert sweep.rows[1].zeta > sweep.rows[0].zeta

@@ -158,17 +158,16 @@ def test_xexp_no_chain_errors():
 
 
 def test_xexp_orderings_equivalent():
-    # all six ladder orders of a 3-qubit string give the same unitary
+    # a 3-qubit string on each of the three paths through its qubits
     from itertools import permutations
-
-    from mp2q.lowering import _pauli_x_exp_gates
 
     coeff = 0.39
     ref = xstring_exp_ref(3, coeff, [0, 1, 2])
     for perm in permutations(range(3)):
         edges = [(perm[0], perm[1]), (perm[1], perm[2])]
         cm = CouplingMap.from_edges(3, edges, "perm")
-        out = Circuit(3, _pauli_x_exp_gates(coeff, (0, 1, 2), cm))
+        out = lower_one(cg.pauli_x_exp(coeff, [0, 1, 2]), cm)
+        assert validate_connectivity(out, cm) == []
         assert np.max(np.abs(unitary_of(out) - ref)) < 1e-12
 
 
@@ -492,31 +491,54 @@ def test_x_run_on_clique_saves_cnots():
     assert max_phase_aligned_diff(unitary_of(out), unitary_of(Circuit(3, X_RUN))) < 1e-10
 
 
-def _chain_by_permutations(qs, cm):
-    from itertools import permutations
+def _draw_connected_map(draw):
+    """A random spanning tree on 3-8 qubits plus up to n extra edges."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    tree = {(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=n))
+    return CouplingMap.from_edges(n, tree | extra, "random-connected")
 
-    for perm in permutations(qs):
-        if all(cm.has_edge(a, b) for a, b in zip(perm, perm[1:])):
-            return perm
-    return None
+
+@st.composite
+def _x_strings_on_maps(draw):
+    cm = _draw_connected_map(draw)
+    width = draw(st.integers(2, cm.n_qubits))  # the other qubits are free
+    supports = st.sets(st.integers(0, width - 1), min_size=1).map(sorted)
+    coeffs = st.floats(-2.0, 2.0)
+    strings = draw(st.lists(st.tuples(supports, coeffs), min_size=1, max_size=4))
+    return cm, Circuit(width, [cg.pauli_x_exp(c, s) for s, c in strings])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                        .filter(lambda e: e[0] != e[1])),
-    st.sets(st.integers(0, n - 1), min_size=2).map(sorted))))
-def test_best_chain_matches_permutation_walk(case):
-    from mp2q.lowering import _best_chain
+@settings(max_examples=150, deadline=None)
+@given(_x_strings_on_maps())
+def test_x_string_lowering_is_sound(case):
+    # an X-string run either has no edge-respecting realization or is lowered
+    # exactly over its parity trees, free Steiner points restored, on any
+    # connected map
+    cm, source = case
+    try:
+        out = lower(source, cm)
+    except LoweringError:
+        return
+    assert validate_connectivity(out, cm) == []
+    sub = restricted_unitary(out, list(range(source.n_qubits)))
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
 
-    n, edges, qs = case
-    cm = CouplingMap.from_edges(n, edges, "random")
-    expected = _chain_by_permutations(qs, cm)
-    if expected is None:
-        with pytest.raises(LoweringError):
-            _best_chain(qs, cm)
-    else:
-        assert _best_chain(qs, cm) == expected
+
+@pytest.mark.parametrize("name,cnots", [("h-shape-7", 20), ("h-shape-9", 28)])
+@pytest.mark.parametrize("part", ["I", "III", "IV"])
+def test_uint_lowers_on_h_shapes(part, name, cnots, helium_blocks):
+    # no two register qubits are adjacent on an H shape: each string's parity
+    # tree runs through the free qubits
+    source = builders.build_uint(helium_blocks[part], 0.1)
+    cm = named_map(name)
+    out = lower(source, cm)
+    assert sum(g.kind == cg.CNOT for g in out.gates) == cnots
+    assert validate_connectivity(out, cm) == []
+    sub = restricted_unitary(out, list(range(source.n_qubits)))
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
 
 
 def test_chainless_string_fails_fast():
@@ -569,12 +591,8 @@ def test_relayed_lowerings_pinned():
 
 @st.composite
 def _lone_gates_on_maps(draw):
-    n = draw(st.integers(3, 8))
-    order = draw(st.permutations(range(n)))
-    tree = {(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)}
-    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                         .filter(lambda e: e[0] != e[1]), max_size=n))
-    cm = CouplingMap.from_edges(n, tree | extra, "random-connected")
+    cm = _draw_connected_map(draw)
+    n = cm.n_qubits
     k = draw(st.integers(1, min(4, n - 1)))
     width = draw(st.integers(k + 1, n))  # the other qubits are free ancillas
     qs = draw(st.permutations(range(width)))
