@@ -19,20 +19,23 @@ SQRT = "sqrt"
 
 
 def _bit_pairs(values, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A copy of values as dtype, and for each bit b a (-1, 2, 2^b) view of it
-    whose middle axis pairs every index without bit b with its partner."""
+    """A copy of values as dtype, and for each bit b a (..., 2^(q-b-1), 2, 2^b)
+    view of it whose second-last axis pairs every index of the last axis
+    without bit b with its partner. Leading axes are a batch: the transforms
+    below act on each 1-D slice along the last axis."""
     a = np.array(values, dtype=dtype)
-    q = (a.size - 1).bit_length()
-    if a.size != 1 << q:
+    n = a.shape[-1]
+    q = (n - 1).bit_length()
+    if n != 1 << q:
         raise ValueError("length must be a power of two")
-    return a, [a.reshape(-1, 2, 1 << b) for b in range(q)]
+    return a, [a.reshape(*a.shape[:-1], n >> (b + 1), 2, 1 << b) for b in range(q)]
 
 
 def subset_zeta(values: np.ndarray) -> np.ndarray:
-    """out[x] = sum over submasks m of x of values[m]."""
+    """out[x] = sum over submasks m of x of values[m], along the last axis."""
     a, pairs = _bit_pairs(values, float)
     for v in pairs:
-        v[:, 1, :] += v[:, 0, :]
+        v[..., 1, :] += v[..., 0, :]
     return a
 
 
@@ -40,18 +43,19 @@ def subset_moebius(values: np.ndarray) -> np.ndarray:
     """Inverse of subset_zeta over the bitwise-subset lattice."""
     a, pairs = _bit_pairs(values, float)
     for v in pairs:
-        v[:, 1, :] -= v[:, 0, :]
+        v[..., 1, :] -= v[..., 0, :]
     return a
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform: out[k] = sum over m of
-    (-1)^popcount(k & m) values[m]. Applied twice it multiplies by the length."""
+    """Unnormalized Walsh-Hadamard transform along the last axis: out[k] =
+    sum over m of (-1)^popcount(k & m) values[m]. Applied twice it multiplies
+    by the length."""
     a, pairs = _bit_pairs(values, complex if np.iscomplexobj(values) else float)
     for v in pairs:
-        lo = v[:, 0, :].copy()
-        v[:, 0, :] += v[:, 1, :]
-        v[:, 1, :] = lo - v[:, 1, :]
+        lo = v[..., 0, :].copy()
+        v[..., 0, :] += v[..., 1, :]
+        v[..., 1, :] = lo - v[..., 1, :]
     return a
 
 
@@ -120,9 +124,15 @@ def angles_from_targets(targets: np.ndarray, c_e: float, variant: str,
         targets = targets[::-1]
     angles = subset_moebius(targets)
     table = AngleTable(q, angles, float(c_e), variant, polarity)
-    check = np.max(np.abs(subset_zeta(angles) - targets))
-    if check > 1e-12:
-        raise NumericalError(f"angle round-trip failed: {check:.3e}")
+    # zeta(angles)[x] adds the angles of the submasks of x in q passes, so
+    # rounding may move it by q * u * zeta(|angles|)[x] (u the unit roundoff),
+    # and the Moebius pass that made the angles rounds as much again
+    error = np.abs(subset_zeta(angles) - targets)
+    bound = 2 * q * (np.finfo(float).eps / 2) * subset_zeta(np.abs(angles))
+    worst = int(np.argmax(error - bound))
+    if error[worst] > bound[worst]:
+        raise NumericalError(f"angle round-trip failed: {error[worst]:.3e} at mask "
+                             f"{worst}, above its rounding bound {bound[worst]:.3e}")
     return table
 
 

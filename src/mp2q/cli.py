@@ -29,10 +29,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _publish(path, text: str) -> None:
     """Replace the file at `path` with `text`, never truncating it in place.
 
@@ -126,9 +122,12 @@ def _per_part(config, key, default, parts, parse=_as_float) -> dict:
 def cmd_pipeline(args) -> int:
     config = _load_config(args.config) if args.config else {}
     hf_path = args.hf_data or config.get("hf_data")
-    if hf_path is None:
-        raise SchemaError("pipeline needs --hf-data or an hf_data config entry")
-    data = hfdata.load(hf_path)
+    if not isinstance(hf_path, str):
+        raise SchemaError(f"pipeline needs --hf-data or an hf_data config entry naming "
+                          f"a file, got {hf_path!r}")
+    # parse and hash the same bytes, so the manifest describes what was read
+    hf_bytes = Path(hf_path).read_bytes()
+    data = hfdata.load(hf_bytes)
     parts = _parts(args, config)
     mode = args.mode or config.get("mode", estimate.EXACT)
     if mode == "exact":
@@ -167,7 +166,7 @@ def cmd_pipeline(args) -> int:
                    "lambda_step": steps, "total_steps": totals,
                    "start_candidates": start_candidates,
                    "c_e": c_e_cfg},
-        "inputs": {str(hf_path): _sha256(hf_path)},
+        "inputs": {str(hf_path): hashlib.sha256(hf_bytes).hexdigest()},
         "outputs": [str(path) for path in outputs],
         "output_sha256": {str(path): hashlib.sha256(text.encode("utf-8")).hexdigest()
                           for path, text in outputs.items()},
@@ -182,21 +181,29 @@ def cmd_pipeline(args) -> int:
 
 
 def _render_sweep_csv(result: estimate.PipelineEstimate) -> str:
-    fh = io.StringIO(newline="")
-    w = csv.writer(fh)
-    w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
+    """One line per nonzero outcome of every sweep row, CRLF-terminated as
+    csv.writer writes them. No cell can hold a comma, quote or line break
+    (part names, numbers and bit strings), so joining with commas gives the
+    same bytes; a row's constant cells are formatted once."""
+    lines = ["part,step,lambda,lambda_sq,outcome,count,shots,zeta"]
+    labels: dict[int, list[str]] = {}
     for part, detail in sorted(result.parts.items()):
         for row in detail.sweep.rows:
             # exact mode writes each probability as the count, with shots 0
             sampled = row.counts is not None
             values = row.counts.counts if sampled else row.probs
-            width = values.size.bit_length() - 1
-            for i in np.flatnonzero(values > 0):
-                w.writerow([part, row.step, _fmt(row.lam), _fmt(row.lam_sq),
-                            format(i, f"0{width}b"),
-                            values[i] if sampled else _fmt(values[i]),
-                            row.counts.shots if sampled else 0, _fmt(row.zeta)])
-    return fh.getvalue()
+            if values.size not in labels:
+                width = values.size.bit_length() - 1
+                labels[values.size] = [format(i, f"0{width}b") for i in range(values.size)]
+            outcome = labels[values.size]
+            head = f"{part},{row.step},{_fmt(row.lam)},{_fmt(row.lam_sq)},"
+            tail = f",{row.counts.shots if sampled else 0},{_fmt(row.zeta)}"
+            cell = str if sampled else _fmt
+            nz = np.flatnonzero(values > 0)
+            lines += [f"{head}{outcome[i]},{cell(v)}{tail}"
+                      for i, v in zip(nz.tolist(), values[nz].tolist())]
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def _render_fit_json(result: estimate.PipelineEstimate, oracle: float, rel: float) -> str:

@@ -96,22 +96,26 @@ def _uint_spectrum(block: EriBlock, base: int) -> tuple[np.ndarray, np.ndarray]:
     return fwht(block.gamma[idx ^ base]), fwht(idx == base)
 
 
-def _sweep_row(spectrum: tuple[np.ndarray, np.ndarray], readout_weights: np.ndarray | None,
-               config: SweepConfig, base: int, step: int) -> SweepRow:
-    """One sweep row in closed form: the register amplitudes of
-    exp(i*lambda*V)|y> are fwht(exp(i*lambda*d) * signs) / 2^Q, and U_E moves
-    register outcome x to readout 1 with probability readout_weights[x]
-    (None: the U_INT circuit alone, no readout qubit)."""
-    lam = step * config.lambda_step
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: list[float]) -> np.ndarray:
+    """Register probabilities |psi|^2 of exp(i*lambda*V)|y>, one row per
+    lambda, in closed form: the amplitudes are fwht(exp(i*lambda*d) * signs)
+    / 2^Q, and all rows share one transform."""
     d, signs = spectrum
-    psi = fwht(np.exp(1j * lam * d) * signs) / d.size
-    register = psi.real ** 2 + psi.imag ** 2
+    psi = fwht(np.exp((1j * np.array(lams))[:, None] * d) * signs) / d.size
+    return psi.real ** 2 + psi.imag ** 2
+
+
+def _sweep_row(register: np.ndarray, readout_weights: np.ndarray | None,
+               config: SweepConfig, base: int, step: int) -> SweepRow:
+    """One sweep row from its register probabilities (`_register_probs`):
+    U_E moves register outcome x to readout 1 with probability
+    readout_weights[x] (None: the U_INT circuit alone, no readout qubit)."""
+    lam = step * config.lambda_step
+    n = register.size
     if readout_weights is None:
         probs, readout_bit = register, None
     else:
-        readout_bit = (d.size - 1).bit_length()
+        readout_bit = (n - 1).bit_length()
         probs = np.concatenate([register * (1.0 - readout_weights),
                                 register * readout_weights])
     total = float(probs.sum())
@@ -123,7 +127,7 @@ def _sweep_row(spectrum: tuple[np.ndarray, np.ndarray], readout_weights: np.ndar
     else:
         counts, fractions = None, probs
     idx = np.arange(fractions.size)
-    excited = (idx & (d.size - 1)) != base
+    excited = (idx & (n - 1)) != base
     hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
     zeta = _ordered_sum(fractions[hit])
     zeta_signal = zeta if readout_bit is None else _ordered_sum(fractions[hit & excited])
@@ -136,19 +140,36 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
+# Amplitudes per transform in a sweep: at Q <= 12 a chunk holds 2^(12-Q)
+# rows, and a wider register goes one row at a time.
+_CHUNK_AMPLITUDES = 1 << 12
+
+
 def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
                     base_state: int | None = None) -> SweepResult:
     """Sweep lambda over the grid for one block; deterministic per (seed, step).
 
     Rows are the closed form of the U_INT (and U_E) circuit of
-    builders.build_uint / build_pipeline, which stay as its test oracle."""
+    builders.build_uint / build_pipeline, which stay as its test oracle.
+    Rows are made in step order, a chunk of them per transform; a bad lambda
+    raises once every row before it is made and checked."""
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
     targets = _targets(ratio_table(block, c_e), SQRT)
     base = default_base_state(block) if base_state is None else base_state
     spectrum = _uint_spectrum(block, base)
     # U_E rotates the readout of register input x by the target angle T_x
     weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
-    rows = [_sweep_row(spectrum, weights, config, base, s) for s in range(config.n_rows())]
+    lams = [step * config.lambda_step for step in range(config.n_rows())]
+    # only rows before the first bad lambda are transformed
+    n_good = next((s for s, lam in enumerate(lams) if not 0.0 <= lam < np.inf), len(lams))
+    per_chunk = max(1, _CHUNK_AMPLITUDES >> block.n_qubits)
+    rows = []
+    for first in range(0, n_good, per_chunk):
+        registers = _register_probs(spectrum, lams[first:min(first + per_chunk, n_good)])
+        rows += [_sweep_row(register, weights, config, base, first + i)
+                 for i, register in enumerate(registers)]
+    if n_good < len(lams):
+        raise ValueError(f"lambda must be finite and >= 0, got {lams[n_good]}")
     readout = None if config.circuit == "uint" else block.n_qubits
     return SweepResult(part or "block", c_e, base, block.n_qubits, readout,
                        config.mode, rows)

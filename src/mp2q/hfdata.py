@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -80,10 +81,10 @@ def _tensor_from_schema(node: dict, n: int, name: str) -> np.ndarray:
     raise SchemaError(f"unknown {name} format {fmt!r}")
 
 
-def load(path) -> HartreeFockData:
-    """Load HF results from the JSON schema; validates units, notation and symmetry."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def load(source) -> HartreeFockData:
+    """Load HF results from the JSON schema, given a path or the file's bytes;
+    validates units, notation and symmetry."""
+    doc = json.loads(source if isinstance(source, bytes) else Path(source).read_bytes())
     for key in ("n_orbitals", "n_occupied", "units", "notation",
                 "orbital_energies", "mo_coefficients", "eri_mo"):
         if key not in doc:

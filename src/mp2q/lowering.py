@@ -245,7 +245,8 @@ def _x_string(coupling: CouplingMap, g: Gate, free: set[int]) -> list[Gate]:
             except LoweringError:
                 continue
         if not paths:
-            raise LoweringError(f"no edge-respecting chain through qubits {qs}")
+            raise LoweringError(f"no edge-respecting chain through qubits {qs}: no free "
+                                f"path from {rest} to the parity tree {sorted(tree)}")
         q = min(paths, key=lambda q: (len(paths[q]), -q))
         hops = [q] + paths[q]
         parent = min(coupling.adjacency[hops[-1]] & tree)

@@ -59,6 +59,27 @@ def test_fwht_vs_hadamard_matrix():
         fwht(np.zeros(6))
 
 
+@st.composite
+def _row_batches(draw):
+    k = draw(st.integers(0, 10))
+    rows = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([float, complex]))
+    return draw(arrays(dtype, (rows, 1 << k), elements=st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_batches())
+def test_transforms_of_a_batch_are_the_transforms_of_its_rows(batch):
+    # a (rows x 2^k) array transforms along its last axis, each row bit for
+    # bit as the 1-D transform of that row
+    transforms = [fwht] if np.iscomplexobj(batch) else [fwht, subset_zeta, subset_moebius]
+    for transform in transforms:
+        out = transform(batch)
+        assert out.shape == batch.shape and out.dtype == batch.dtype
+        for row, row_out in zip(batch, out):
+            assert row_out.tobytes() == transform(row).tobytes()
+
+
 def test_solve_angles_one_bit():
     a, b = 0.3, 1.1
     table = angles_from_targets(np.array([a, b]), 1.0, builders.SQRT)
@@ -80,6 +101,34 @@ def test_solve_angles_round_trip(q):
         targets = rng.uniform(0, np.pi, 1 << q)
         table = angles_from_targets(targets, 1.0, builders.SQRT)
         assert np.max(np.abs(subset_zeta(table.angles) - targets)) < 1e-13
+
+
+def test_solve_angles_passes_on_a_wide_block():
+    # at Q = 20 the round trip drifts to 2.4e-12 from rounding alone; the check
+    # scales with Q and with the angles' size
+    q = 20
+    blk = random_block(np.random.default_rng(0), n_codes=1 << q,
+                       gamma_max=0.3 * 4 / 2 ** (q / 2))
+    table = solve_angles(blk)
+    targets = builders._targets(ratio_table(blk, default_c_e(blk)), builders.SQRT)
+    assert np.max(np.abs(subset_zeta(table.angles) - targets)) > 1e-12
+
+
+@pytest.mark.parametrize("mask", [1, 0b1010, (1 << 10) - 1, 0b1100_0011_0101_0110])
+def test_solve_angles_rejects_a_perturbed_angle(monkeypatch, mask):
+    q = 20
+    blk = random_block(np.random.default_rng(0), n_codes=1 << q,
+                       gamma_max=0.3 * 4 / 2 ** (q / 2))
+    moebius = builders.subset_moebius
+
+    def perturbed(values):
+        angles = moebius(values)
+        angles[mask] += 1e-9
+        return angles
+
+    monkeypatch.setattr(builders, "subset_moebius", perturbed)
+    with pytest.raises(NumericalError, match=f"angle round-trip failed: .* at mask {mask},"):
+        solve_angles(blk)
 
 
 def test_solve_angles_zero_polarity_round_trip():

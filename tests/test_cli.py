@@ -1,13 +1,15 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mp2q import circuits as cg, cli, hfdata, mp2
+from mp2q import circuits as cg, cli, estimate, hfdata, mp2, statevec
 from mp2q.circuits import Circuit
 from mp2q.builders import build_ue, default_c_e, ratio_table, solve_angles
 from mp2q.cli import main
@@ -246,6 +248,120 @@ def test_pipeline_outputs_pinned(tmp_path, capsys, helium_path, mode):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("sweep.csv", "fits.json"))
     assert digests == PINNED_DIGESTS[mode]
+
+
+# SHA-256 of sweep.csv and fits.json for more runs, recorded while sweep.csv
+# was still written by csv.writer one outcome at a time and every sweep row
+# had its own transform: other seeds, the published grids (whose small
+# probabilities print in exponent form) and single-part runs.
+PINNED_RUN_DIGESTS = {
+    "sampled-seed0": (["--mode", "sampled", "--seed", "0"],
+                      "5cf262de2e931a19ece1d959f3e35887cb673ed3034d3a1b2cc8b1699f7163f3",
+                      "61a939535f63e60f9b11eaa65074c2050ad62e0fcd32853392fe7150c00d1224"),
+    "sampled-seed1": (["--mode", "sampled", "--seed", "1"],
+                      "e09bc7ca81dcf908fab56b84091e950248772583a24f0dbf9e0e68f8ff00cc72",
+                      "8de21deceac1c2e9dc57bb924c15d2aabd7e79ed9d21165d3f8f3b7aee592664"),
+    "exact-paper-grids": (["--mode", "exact"],
+                          "746db201a61776cd829400ae0fe2b155a838ece54945f01b1b0e49538b9df161",
+                          "bf12ee7a470aa0f07b4de92c2dc0cffc16ca4bce3665945d7a633821bb38cfb9"),
+    "exact-part-IV": (["--mode", "exact", "--parts", "IV"],
+                      "c0b129adc0ad4b5cd28142bab27932b3b969759d09b5ffd7706f80252e2cf4f5",
+                      "ec68bce629726b18263ae3f2e7c27d8b42b67093a79f546b1ad262bed2a34c4c"),
+    "sampled-part-IV-seed1": (["--mode", "sampled", "--parts", "IV", "--seed", "1"],
+                              "d7af98e238f8cf774b509da80204cdc7ee1f21907f26bb505dbb06fdcd8cdbf7",
+                              "e40d6d4525ccb97c0fe9954a428fc7aac6ae824f82a0ce118e4c6b12e442f960"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS))
+def test_more_pipeline_outputs_pinned(tmp_path, capsys, helium_path, name):
+    args, *pinned = PINNED_RUN_DIGESTS[name]
+    if "paper-grids" in name:
+        grids = estimate.PAPER_GRIDS
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps({"lambda_step": {p: g[0] for p, g in grids.items()},
+                                      "total_steps": {p: g[1] for p, g in grids.items()}}))
+        args = [*args, "--config", str(config)]
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--hf-data", helium_path, "--out-dir", str(out_dir), *args]) == 0
+    digests = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "fits.json")]
+    assert digests == pinned
+
+
+def _reference_sweep_csv(result):
+    """sweep.csv as csv.writer writes it, one row per nonzero outcome: the
+    reference for cli._render_sweep_csv."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
+    for part, detail in sorted(result.parts.items()):
+        for row in detail.sweep.rows:
+            sampled = row.counts is not None
+            values = row.counts.counts if sampled else row.probs
+            width = values.size.bit_length() - 1
+            for i in np.flatnonzero(values > 0):
+                w.writerow([part, row.step, cli._fmt(row.lam), cli._fmt(row.lam_sq),
+                            format(i, f"0{width}b"),
+                            values[i] if sampled else cli._fmt(values[i]),
+                            row.counts.shots if sampled else 0, cli._fmt(row.zeta)])
+    return fh.getvalue()
+
+
+_PROBABILITIES = st.one_of(st.just(0.0), st.floats(1e-310, 1e-290),
+                           st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _pipeline_estimates(draw):
+    sampled = draw(st.booleans())
+    parts = {}
+    for part in draw(st.lists(st.sampled_from(["I", "III", "IV"]), min_size=1, unique=True)):
+        width = draw(st.integers(2, 6))
+        rows = []
+        for step in range(draw(st.integers(1, 3))):
+            lam = draw(st.floats(0.0, 10.0))
+            zeta = draw(st.floats(0.0, 1.0))
+            if sampled:
+                counts = np.array(draw(st.lists(st.integers(0, 10 ** 6), min_size=1 << width,
+                                                max_size=1 << width)), dtype=np.int64)
+                table = statevec.CountsTable(int(counts.sum()), counts, 0)
+                rows.append(estimate.SweepRow(step, lam, lam * lam, zeta, zeta, None, table))
+            else:
+                probs = np.array(draw(st.lists(_PROBABILITIES, min_size=1 << width,
+                                               max_size=1 << width)))
+                rows.append(estimate.SweepRow(step, lam, lam * lam, zeta, zeta, probs))
+        sweep = estimate.SweepResult(part, 1.0, 0, width - 1, width - 1,
+                                     estimate.SAMPLED if sampled else estimate.EXACT, rows)
+        parts[part] = estimate.PartEstimate(part, sweep, None, 0.0)
+    return estimate.PipelineEstimate(0.0, parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pipeline_estimates())
+def test_sweep_csv_is_what_csv_writer_writes(result):
+    assert cli._render_sweep_csv(result) == _reference_sweep_csv(result)
+
+
+def test_manifest_hashes_the_hf_bytes_it_parsed(tmp_path, capsys, helium_path):
+    assert main(["pipeline", "--hf-data", helium_path, "--parts", "IV",
+                 "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    raw = open(helium_path, "rb").read()
+    assert manifest["inputs"] == {helium_path: hashlib.sha256(raw).hexdigest()}
+    # the bytes parse to the same data as the path
+    from_bytes, from_path = hfdata.load(raw), hfdata.load(helium_path)
+    assert np.array_equal(from_bytes.eri_mo, from_path.eri_mo)
+    assert np.array_equal(from_bytes.orbital_energies, from_path.orbital_energies)
+
+
+@pytest.mark.parametrize("config", [{}, {"hf_data": 5}, {"hf_data": ["he.json"]}])
+def test_pipeline_needs_an_hf_path(tmp_path, capsys, config):
+    # an integer hf_data was once opened as a file descriptor
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "needs --hf-data or an hf_data config entry naming a file" in capsys.readouterr().err
 
 
 OUTPUTS = ["fits.json", "manifest.json", "sweep.csv"]

@@ -446,9 +446,82 @@ def test_sweep_rejects_rows_that_do_not_sum_to_one():
         run_block_sweep(blk, SweepConfig(1e308, 3, start_candidates=0))
 
 
+def test_sweep_transforms_only_rows_whose_lambda_passed(monkeypatch):
+    # row 0 has lambda 0, row 1 a negative lambda: row 0 is made, row 1 raises
+    # and is never transformed
+    batches = []
+
+    def spy(values):
+        if np.ndim(values) == 2:
+            batches.append(len(values))
+        return builders.fwht(values)
+
+    monkeypatch.setattr(estimate, "fwht", spy)
+    blk = random_block(np.random.default_rng(9), zero_at=2)
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0, got -0.1"):
+        run_block_sweep(blk, SweepConfig(-0.1, 3, start_candidates=0))
+    assert batches == [1]
+
+
+def _one_row_sweep(block, config):
+    """The sweep one row at a time, each row its own 1-D transform: the
+    reference that the chunked sweep must match bit for bit."""
+    c_e = default_c_e(block) if config.c_e is None else config.c_e
+    targets = builders._targets(ratio_table(block, c_e), builders.SQRT)
+    base = default_base_state(block)
+    d, signs = estimate._uint_spectrum(block, base)
+    weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
+    rows = []
+    for step in range(config.n_rows()):
+        lam = step * config.lambda_step
+        psi = builders.fwht(np.exp(1j * lam * d) * signs) / d.size
+        register = psi.real ** 2 + psi.imag ** 2
+        if weights is None:
+            probs, readout_bit = register, None
+        else:
+            readout_bit = (d.size - 1).bit_length()
+            probs = np.concatenate([register * (1.0 - weights), register * weights])
+        counts = None
+        fractions = probs
+        if config.mode == estimate.SAMPLED:
+            counts = statevec.sample_counts(probs, config.shots,
+                                            statevec.task_seed(config.seed, step))
+            probs, fractions = None, counts.counts / counts.shots
+        idx = np.arange(fractions.size)
+        excited = (idx & (d.size - 1)) != base
+        hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
+        zeta = float(np.cumsum(fractions[hit])[-1])
+        zeta_signal = (zeta if readout_bit is None
+                       else float(np.cumsum(fractions[hit & excited])[-1]))
+        rows.append(SweepRow(step, lam, lam * lam, zeta, zeta_signal, probs, counts))
+    return rows
+
+
+@pytest.mark.parametrize("mode", [estimate.EXACT, estimate.SAMPLED])
+@pytest.mark.parametrize("q", range(1, 13))
+def test_chunked_sweep_matches_one_row_reference(q, mode):
+    # enough rows for two full chunks and part of a third
+    n_rows = 2 * max(1, estimate._CHUNK_AMPLITUDES >> q) + 3
+    blk = random_block(np.random.default_rng(q), n_codes=1 << q,
+                       gamma_max=0.3 * 4 / 2 ** (q / 2))
+    for circuit in ("pipeline", "uint"):
+        config = SweepConfig(0.05, n_rows, shots=1000, seed=q, mode=mode,
+                             start_candidates=0, circuit=circuit)
+        rows = run_block_sweep(blk, config).rows
+        reference = _one_row_sweep(blk, config)
+        assert len(rows) == len(reference) == n_rows
+        for row, ref in zip(rows, reference):
+            assert (row.step, row.lam, row.lam_sq) == (ref.step, ref.lam, ref.lam_sq)
+            assert (row.zeta, row.zeta_signal) == (ref.zeta, ref.zeta_signal)
+            if mode == estimate.EXACT:
+                assert row.probs.tobytes() == ref.probs.tobytes()
+            else:
+                assert row.probs is None
+                assert row.counts.counts.tobytes() == ref.counts.counts.tobytes()
+
+
 def test_wide_block_sweeps_without_angle_solve():
-    # at Q = 20 the Moebius round trip of solve_angles drifts past its 1e-12
-    # check; the sweep reads the U_E targets directly and needs no angles
+    # the sweep reads the U_E targets directly and needs no angles
     q = 20
     blk = random_block(np.random.default_rng(0), n_codes=1 << q, gamma_max=1.2 / 2 ** (q / 2))
     sweep = run_block_sweep(blk, SweepConfig(0.01, 2, start_candidates=0))

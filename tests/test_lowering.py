@@ -553,6 +553,17 @@ def test_chainless_string_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_unlowerable_x_string_names_the_unreached_qubits_and_tree(helium_blocks):
+    # on h-shape-7 the readout qubit 4 sits on the only path between the
+    # halves of the H, so qubits 0 and 1 cannot reach the tree grown from 2
+    blk = helium_blocks["I"]
+    circ = builders.build_pipeline(builders.PipelineSpec(blk, 0.1), builders.solve_angles(blk))
+    with pytest.raises(LoweringError) as err:
+        lower(circ, h_shape_7())
+    assert str(err.value) == ("no edge-respecting chain through qubits [0, 1, 2]: "
+                              "no free path from [0, 1] to the parity tree [2]")
+
+
 # SHA-256 over the lowered Circuit.to_json(), or the LoweringError message, of
 # a seeded list of lone C^k-Ry gates (k = 0..4, both polarities) and of CNOTs
 # between every ordered pair of five logical qubits, on maps where controls
