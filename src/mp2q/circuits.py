@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -132,8 +133,12 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        for g in self.gates:
-            self._check(g)
+        # one pass over the set of operands; the per-gate check runs only to
+        # name the first gate out of range
+        if set(chain.from_iterable(g.qubits for g in self.gates)).difference(
+                range(self.n_qubits)):
+            for g in self.gates:
+                self._check(g)
 
     def _check(self, gate: Gate):
         qs = gate.qubits

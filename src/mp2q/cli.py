@@ -125,6 +125,9 @@ def cmd_pipeline(args) -> int:
     if not isinstance(hf_path, str):
         raise SchemaError(f"pipeline needs --hf-data or an hf_data config entry naming "
                           f"a file, got {hf_path!r}")
+    out_dir = args.out_dir or config.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise SchemaError(f"config key 'out_dir' must name a directory, got {out_dir!r}")
     # parse and hash the same bytes, so the manifest describes what was read
     hf_bytes = Path(hf_path).read_bytes()
     data = hfdata.load(hf_bytes)
@@ -152,7 +155,7 @@ def cmd_pipeline(args) -> int:
     oracle = mp2.mp2_energy(data, mp2.HELIUM_GROUND).e2_total
     rel = result.e2 / oracle - 1.0
 
-    out_dir = Path(args.out_dir or config.get("out_dir", "."))
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # render every file first, so a failure leaves the previous run's files intact
     outputs = {out_dir / "sweep.csv": _render_sweep_csv(result),

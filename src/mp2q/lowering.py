@@ -24,6 +24,10 @@ clique of the map and the network takes no more CNOTs than the per-string
 ladders; any other run goes string by string, each parity on a Steiner tree
 (Cowtan et al., arXiv:1906.01734; Kissinger & Meijer-van de Griend,
 arXiv:1904.00633). SWAPs are never emitted.
+
+`lower` builds one native gate list and checks it once: each gate's range
+as the output Circuit is made, then its kind and edges in
+`validate_connectivity`.
 """
 from __future__ import annotations
 
@@ -109,13 +113,20 @@ _MUX_CNOTS_PER_CONTROL = 8
 def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
     """Rewrite Toffoli pairs on identical operands, with nothing touching either
     control in between, into a native form with no control-control gates."""
-    out = Circuit(circuit.n_qubits)
-    gates = circuit.gates
+    return Circuit(circuit.n_qubits, list(_toffoli_pairs(circuit.gates)))
+
+
+def _toffoli_pairs(gates: list[Gate]) -> list[Gate]:
+    """The gate list of `simplify_toffoli_pairs`; the list itself when it
+    holds no Toffoli."""
+    if all(g.kind != TOFFOLI for g in gates):
+        return gates
+    out: list[Gate] = []
     i = 0
     while i < len(gates):
         g = gates[i]
         if g.kind != TOFFOLI:
-            out.add(g)
+            out.append(g)
             i += 1
             continue
         c1, c2, t = g.qubits
@@ -130,7 +141,7 @@ def simplify_toffoli_pairs(circuit: Circuit) -> Circuit:
                 break
             j += 1
         if partner is None:
-            out.add(g)
+            out.append(g)
             i += 1
             continue
         out.extend(_toffoli_ladder(c1, c2, t))
@@ -323,7 +334,9 @@ def _v_chain(coupling: CouplingMap, controls: tuple[int, ...], target: int,
     return copies + _controlled_ry(theta, carriers[::-1], target) + copies[::-1]
 
 
-def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int]) -> Circuit:
+def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int]) -> list[Gate]:
+    """The circuit's gates on physical qubits: the source gates themselves
+    under the identity layout (a Gate is frozen), else one remapped Gate each."""
     if len(set(layout.values())) != len(layout):
         raise ValueError("layout must be injective")
     for q in range(circuit.n_qubits):
@@ -331,10 +344,14 @@ def _apply_layout(circuit: Circuit, coupling: CouplingMap, layout: dict[int, int
             raise ValueError(f"layout missing logical qubit {q}")
         if not (0 <= layout[q] < coupling.n_qubits):
             raise LoweringError(f"layout maps qubit {q} outside the coupling map")
-    out = Circuit(coupling.n_qubits)
-    for g in circuit.gates:
-        out.add(Gate(g.kind, tuple(layout[q] for q in g.qubits), g.angle, g.polarity))
-    return out
+    gates = circuit.gates
+    # re-run the range check, which a gate appended to the list skipped; under
+    # the identity layout such a gate would act on an ancilla
+    Circuit(circuit.n_qubits, gates)
+    if all(layout[q] == q for q in range(circuit.n_qubits)):
+        return gates
+    return [Gate(g.kind, tuple(layout[q] for q in g.qubits), g.angle, g.polarity)
+            for g in gates]
 
 
 _RY_KINDS = (RY, CRY, MCRY)
@@ -374,19 +391,18 @@ def lower(circuit: Circuit, coupling: CouplingMap,
     """
     if layout is None:
         layout = {q: q for q in range(circuit.n_qubits)}
-    placed = _apply_layout(circuit, coupling, layout)
-    placed = simplify_toffoli_pairs(placed)
+    placed = _toffoli_pairs(_apply_layout(circuit, coupling, layout))
     free = set(range(coupling.n_qubits)) - set(layout.values())
     if ancilla_pool is not None:
         free &= set(ancilla_pool)
 
-    out = Circuit(coupling.n_qubits)
-    for run in _commuting_runs(placed.gates):
+    out: list[Gate] = []
+    for run in _commuting_runs(placed):
         g = run[0]
         if g.kind in _RY_KINDS:
             out.extend(_ry_run(coupling, run, free))
         elif g.kind in NATIVE_KINDS and len(g.qubits) == 1:
-            out.add(g)
+            out.append(g)
         elif g.kind == CNOT:
             c, t = g.qubits
             out.extend(_relayed_cnot(c, t, _relay(coupling, c, {t}, free)))
@@ -406,10 +422,11 @@ def lower(circuit: Circuit, coupling: CouplingMap,
         else:
             raise LoweringError(f"cannot lower gate kind {g.kind}")
 
-    violations = validate_connectivity(out, coupling)
+    lowered = Circuit(coupling.n_qubits, out)  # the one range check of the output
+    violations = validate_connectivity(lowered, coupling)
     if violations:
         raise LoweringError(f"lowering left connectivity violations: {violations}")
-    return out
+    return lowered
 
 
 def restricted_unitary(lowered: Circuit, data_qubits: list[int]) -> np.ndarray:

@@ -164,3 +164,15 @@ def test_controlled_matches_direct_control():
 def test_controlled_rejects_collision():
     with pytest.raises(ValueError):
         controlled(Circuit(2, [cg.x(1)]), 1)
+
+
+@pytest.mark.parametrize("gates, message", [
+    ([cg.h(0), cg.cnot(1, 3), cg.h(5)], "gate cnot operands (1, 3) outside 0..2"),
+    ([cg.ry(0.2, 2), cg.h(-1)], "gate h operands (-1,) outside 0..2"),
+])
+def test_circuit_range_check_names_the_first_gate_outside(gates, message):
+    with pytest.raises(ValueError) as err:
+        Circuit(3, gates)
+    assert str(err.value) == message
+    with pytest.raises(ValueError):
+        Circuit(3, gates[:1]).extend(gates[1:])

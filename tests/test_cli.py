@@ -364,6 +364,19 @@ def test_pipeline_needs_an_hf_path(tmp_path, capsys, config):
     assert "needs --hf-data or an hf_data config entry naming a file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out_dir", [5, ["out"], None])
+def test_pipeline_rejects_a_non_string_out_dir(tmp_path, capsys, helium_path, monkeypatch,
+                                               out_dir):
+    # an integer out_dir once reached Path() and ended in a TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"hf_data": helium_path, "parts": ["IV"], "out_dir": out_dir}))
+    assert main(["pipeline", "--config", str(path), "--mode", "exact"]) == 2
+    assert (f"config key 'out_dir' must name a directory, got {out_dir!r}"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 OUTPUTS = ["fits.json", "manifest.json", "sweep.csv"]
 
 

@@ -627,3 +627,86 @@ def test_lone_gate_lowering_is_sound(case):
     assert validate_connectivity(out, cm) == []
     sub = restricted_unitary(out, list(range(source.n_qubits)))
     assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
+
+
+@st.composite
+def _circuits_on_maps(draw):
+    # runs of ry/cry/mcry on one target and polarity, runs of X-strings and
+    # lone CNOTs, on a random connected map under the identity layout or a
+    # random injective one
+    cm = _draw_connected_map(draw)
+    n = cm.n_qubits
+    width = draw(st.integers(2, n))  # the other qubits are free ancillas
+    angles = st.floats(-3.0, 3.0)
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ry", "pauli_x_exp", "cnot"]))
+        if kind == "ry":
+            target = draw(st.integers(0, width - 1))
+            others = [q for q in range(width) if q != target]
+            polarity = draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL]))
+            for _ in range(draw(st.integers(1, 3))):
+                controls = draw(st.sets(st.sampled_from(others), max_size=min(3, width - 1)))
+                gates.append(cg.mcry(draw(angles), controls, target, polarity))
+        elif kind == "pauli_x_exp":
+            for _ in range(draw(st.integers(1, 3))):
+                support = draw(st.sets(st.integers(0, width - 1), min_size=1,
+                                       max_size=min(4, width)))
+                gates.append(cg.pauli_x_exp(draw(angles), support))
+        else:
+            c, t = draw(st.permutations(range(width)))[:2]
+            gates.append(cg.cnot(c, t))
+    layout = None
+    if draw(st.booleans()):
+        layout = dict(enumerate(draw(st.permutations(range(n)))[:width]))
+    return cm, Circuit(width, gates), layout
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits_on_maps())
+def test_circuit_lowering_is_sound(case):
+    # a mixed circuit either has no edge-respecting realization or is lowered
+    # exactly, ancillas restored, on any connected map and layout; any error
+    # other than LoweringError fails
+    cm, source, layout = case
+    try:
+        out = lower(source, cm, layout)
+    except LoweringError:
+        return
+    assert validate_connectivity(out, cm) == []
+    data = [q if layout is None else layout[q] for q in range(source.n_qubits)]
+    sub = restricted_unitary(out, data)
+    assert max_phase_aligned_diff(sub, unitary_of(source)) < 1e-9
+
+
+@pytest.mark.parametrize("layout", [None, {0: 2, 1: 1, 2: 0}, {0: 4, 1: 3, 2: 0}])
+@pytest.mark.parametrize("bad", [cg.ry(0.3, 3), cg.cnot(0, 7), cg.h(-1),
+                                 cg.pauli_x_exp(0.2, [1, 4])])
+def test_lower_rejects_a_gate_appended_past_the_range_check(bad, layout):
+    # appending to gates skips Circuit.add; under the identity layout qubit 3
+    # or 4 would otherwise be taken for a free ancilla of the 5-qubit map
+    circ = Circuit(3, [cg.cnot(0, 1)])
+    circ.gates.append(bad)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        lower(circ, path_map(5), layout)
+
+
+def test_lower_leaves_its_input_alone(helium_blocks):
+    blk = helium_blocks["IV"]
+    angles = builders.solve_angles(blk)
+    sources = [
+        builders.build_ue(angles),
+        builders.build_pipeline(builders.PipelineSpec(blk, 0.1), angles),
+        Circuit(3, [cg.h(0), cg.rz(0.1, 1), cg.cnot(0, 1)]),  # native: lowers to itself
+        Circuit(3, [cg.toffoli(0, 1, 2), cg.ry(0.37, 2), cg.toffoli(0, 1, 2)]),
+    ]
+    cm = complete_map(7)
+    for source in sources:
+        before = list(source.gates)
+        identity = lower(source, cm, {q: q for q in range(source.n_qubits)})
+        out = lower(source, cm)
+        assert source.gates == before
+        assert out.gates is not source.gates
+        assert out.n_qubits == identity.n_qubits == cm.n_qubits
+        assert out.gates == identity.gates
+    assert lower(sources[2], cm).gates == sources[2].gates
