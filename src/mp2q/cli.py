@@ -68,7 +68,10 @@ def cmd_oracle(args) -> int:
 
 def _load_config(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise SchemaError(f"{path}: config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _parts(args, config) -> list[str]:
@@ -133,6 +136,9 @@ def cmd_pipeline(args) -> int:
     data = hfdata.load(hf_bytes)
     parts = _parts(args, config)
     mode = args.mode or config.get("mode", estimate.EXACT)
+    modes = ("exact", estimate.EXACT, estimate.SAMPLED)
+    if mode not in modes:
+        raise SchemaError(f"config key 'mode' must be one of {', '.join(modes)}, got {mode!r}")
     if mode == "exact":
         mode = estimate.EXACT
     seed = (args.seed if args.seed is not None
@@ -187,24 +193,23 @@ def _render_sweep_csv(result: estimate.PipelineEstimate) -> str:
     """One line per nonzero outcome of every sweep row, CRLF-terminated as
     csv.writer writes them. No cell can hold a comma, quote or line break
     (part names, numbers and bit strings), so joining with commas gives the
-    same bytes; a row's constant cells are formatted once."""
+    same bytes. A part's counts or probabilities are one (rows x outcomes)
+    block, searched and converted once; a row's constant cells are
+    formatted once."""
     lines = ["part,step,lambda,lambda_sq,outcome,count,shots,zeta"]
-    labels: dict[int, list[str]] = {}
     for part, detail in sorted(result.parts.items()):
-        for row in detail.sweep.rows:
-            # exact mode writes each probability as the count, with shots 0
-            sampled = row.counts is not None
-            values = row.counts.counts if sampled else row.probs
-            if values.size not in labels:
-                width = values.size.bit_length() - 1
-                labels[values.size] = [format(i, f"0{width}b") for i in range(values.size)]
-            outcome = labels[values.size]
-            head = f"{part},{row.step},{_fmt(row.lam)},{_fmt(row.lam_sq)},"
-            tail = f",{row.counts.shots if sampled else 0},{_fmt(row.zeta)}"
-            cell = str if sampled else _fmt
-            nz = np.flatnonzero(values > 0)
-            lines += [f"{head}{outcome[i]},{cell(v)}{tail}"
-                      for i, v in zip(nz.tolist(), values[nz].tolist())]
+        rows = detail.sweep.rows
+        # exact mode writes each probability as the count, with shots 0
+        sampled = detail.sweep.mode == estimate.SAMPLED
+        values = np.array([row.counts.counts if sampled else row.probs for row in rows])
+        width = values.shape[1].bit_length() - 1
+        outcome = [format(i, f"0{width}b") for i in range(values.shape[1])]
+        heads = [f"{part},{row.step},{_fmt(row.lam)},{_fmt(row.lam_sq)}," for row in rows]
+        tails = [f",{row.counts.shots if sampled else 0},{_fmt(row.zeta)}" for row in rows]
+        cell = str if sampled else _fmt
+        at, code = np.nonzero(values > 0)
+        lines += [f"{heads[i]}{outcome[j]},{cell(v)}{tails[i]}"
+                  for i, j, v in zip(at.tolist(), code.tolist(), values[at, code].tolist())]
     lines.append("")
     return "\r\n".join(lines)
 

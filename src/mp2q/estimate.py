@@ -18,7 +18,7 @@ from .builders import SQRT, _targets, default_base_state, default_c_e, fwht, rat
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
-from .statevec import CountsTable, task_seed
+from .statevec import CountsTable, StepStreams
 
 EXACT = "exact-probabilities"
 SAMPLED = "sampled"
@@ -105,39 +105,54 @@ def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: list[float]) 
     return psi.real ** 2 + psi.imag ** 2
 
 
-def _sweep_row(register: np.ndarray, readout_weights: np.ndarray | None,
-               config: SweepConfig, base: int, step: int) -> SweepRow:
-    """One sweep row from its register probabilities (`_register_probs`):
-    U_E moves register outcome x to readout 1 with probability
-    readout_weights[x] (None: the U_INT circuit alone, no readout qubit)."""
-    lam = step * config.lambda_step
-    n = register.size
-    if readout_weights is None:
-        probs, readout_bit = register, None
+def _sweep_chunk(registers: np.ndarray, readout_split: np.ndarray | None,
+                 base: int, config: SweepConfig, first: int,
+                 streams: StepStreams) -> list[SweepRow]:
+    """The sweep rows of steps first, first + 1, ... from their register
+    probabilities (`_register_probs`, one row per step), the whole chunk at
+    once. U_E moves register outcome x to readout 1 with probability w[x];
+    readout_split is (1 - w, w) end to end, None for the U_INT circuit alone
+    (no readout qubit)."""
+    if readout_split is None:
+        probs = registers
     else:
-        readout_bit = (n - 1).bit_length()
-        probs = np.concatenate([register * (1.0 - readout_weights),
-                                register * readout_weights])
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise NumericalError(f"row {step} probabilities sum to {total}")
+        probs = np.concatenate([registers, registers], axis=1) * readout_split
+    totals = probs.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-10))   # NaN is bad too
+    if bad.size:
+        raise NumericalError(f"row {first + int(bad[0])} probabilities sum to "
+                             f"{float(totals[bad[0]])}")
+    steps = range(first, first + len(probs))
+    # a sampled row keeps its counts, an exact row its probabilities
     if config.mode == SAMPLED:
-        counts = statevec.sample_counts(probs, config.shots, task_seed(config.seed, step))
-        probs, fractions = None, counts.counts / counts.shots
+        counts = [statevec.sample_counts(row, config.shots, *streams.generator(step))
+                  for step, row in zip(steps, probs)]
+        fractions = np.array([c.counts for c in counts]) / config.shots
+        kept = [None] * len(probs)
     else:
-        counts, fractions = None, probs
-    idx = np.arange(fractions.size)
-    excited = (idx & (n - 1)) != base
-    hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
-    zeta = _ordered_sum(fractions[hit])
-    zeta_signal = zeta if readout_bit is None else _ordered_sum(fractions[hit & excited])
-    return SweepRow(step, lam, lam * lam, zeta, zeta_signal, probs, counts)
+        counts, fractions, kept = [None] * len(probs), probs, list(probs)
+    if readout_split is None:
+        zetas = signals = _ordered_sums(fractions, base)[1]
+    else:
+        zetas, signals = _ordered_sums(fractions[:, registers.shape[1]:], base)
+    rows = []
+    for step, zeta, signal, row_probs, row_counts in zip(
+            steps, zetas.tolist(), signals.tolist(), kept, counts):
+        lam = step * config.lambda_step
+        rows.append(SweepRow(step, lam, lam * lam, zeta, signal, row_probs, row_counts))
+    return rows
 
 
-def _ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right sum in ascending basis-state order. np.sum adds pairwise,
-    which can move the last bits of zeta and so of sweep.csv and fits.json."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def _ordered_sums(values: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left-to-right sums of each row in ascending basis-state order, over
+    every column and over every column but `base`. np.sum adds pairwise,
+    which can move the last bits of zeta and so of sweep.csv and fits.json.
+    The second sum starts from the first's partial sum before `base`, so it
+    adds the same values in the same order as a sum over a masked copy."""
+    total = np.cumsum(values, axis=1)
+    rest = values[:, base:].copy()
+    rest[:, 0] = total[:, base - 1] if base else 0.0
+    return total[:, -1], np.cumsum(rest, axis=1)[:, -1]
 
 
 # Amplitudes per transform in a sweep: at Q <= 12 a chunk holds 2^(12-Q)
@@ -146,19 +161,26 @@ _CHUNK_AMPLITUDES = 1 << 12
 
 
 def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
-                    base_state: int | None = None) -> SweepResult:
+                    base_state: int | None = None,
+                    streams: StepStreams | None = None) -> SweepResult:
     """Sweep lambda over the grid for one block; deterministic per (seed, step).
 
     Rows are the closed form of the U_INT (and U_E) circuit of
     builders.build_uint / build_pipeline, which stay as its test oracle.
     Rows are made in step order, a chunk of them per transform; a bad lambda
-    raises once every row before it is made and checked."""
+    raises once every row before it is made and checked. A sampled row draws
+    from its step's stream in `streams` (None: a table of this sweep's own)."""
+    if streams is None:
+        streams = StepStreams(config.seed)
+    elif streams.base_seed != config.seed:
+        raise ValueError(f"streams of seed {streams.base_seed} for a sweep of seed {config.seed}")
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
     targets = _targets(ratio_table(block, c_e), SQRT)
     base = default_base_state(block) if base_state is None else base_state
     spectrum = _uint_spectrum(block, base)
     # U_E rotates the readout of register input x by the target angle T_x
-    weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
+    weights = np.sin(targets / 2) ** 2
+    split = None if config.circuit == "uint" else np.concatenate([1.0 - weights, weights])
     lams = [step * config.lambda_step for step in range(config.n_rows())]
     # only rows before the first bad lambda are transformed
     n_good = next((s for s, lam in enumerate(lams) if not 0.0 <= lam < np.inf), len(lams))
@@ -166,8 +188,7 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     rows = []
     for first in range(0, n_good, per_chunk):
         registers = _register_probs(spectrum, lams[first:min(first + per_chunk, n_good)])
-        rows += [_sweep_row(register, weights, config, base, first + i)
-                 for i, register in enumerate(registers)]
+        rows += _sweep_chunk(registers, split, base, config, first, streams)
     if n_good < len(lams):
         raise ValueError(f"lambda must be finite and >= 0, got {lams[n_good]}")
     readout = None if config.circuit == "uint" else block.n_qubits
@@ -214,16 +235,23 @@ def _plateau(x: np.ndarray, y: np.ndarray, slope: float) -> bool:
     return bool(observed <= 0.0 or predicted / observed > 1.25)
 
 
+def _zeta_series(rows: list[SweepRow]) -> tuple[np.ndarray, np.ndarray]:
+    """lambda^2 and zeta_signal of the rows: the x and y of a zeta fit."""
+    return np.array([r.lam_sq for r in rows]), np.array([r.zeta_signal for r in rows])
+
+
+def _fit(x: np.ndarray, y: np.ndarray, window: tuple[int, int]) -> RegressionFit:
+    slope, intercept, lse = _ols(x, y)
+    return RegressionFit(slope, intercept, lse, window, _plateau(x, y, slope))
+
+
 def fit_zeta(sweep: SweepResult, window: tuple[int, int]) -> RegressionFit:
     """Ordinary least squares of zeta against lambda^2 over the window."""
     start, count = window
     rows = sweep.rows[start:start + count]
     if len(rows) < count:
         raise ValueError(f"window {window} exceeds sweep of {len(sweep.rows)} rows")
-    x = np.array([r.lam_sq for r in rows])
-    y = np.array([r.zeta_signal for r in rows])
-    slope, intercept, lse = _ols(x, y)
-    return RegressionFit(slope, intercept, lse, (start, count), _plateau(x, y, slope))
+    return _fit(*_zeta_series(rows), (start, count))
 
 
 @dataclass(frozen=True)
@@ -241,7 +269,9 @@ def select_start_step(sweep: SweepResult, step_len: float,
     n_starts = len(sweep.rows) - total_steps + 1
     if n_starts < 1:
         raise ValueError("not enough rows for one full window")
-    fits = {s: fit_zeta(sweep, (s, total_steps)) for s in range(n_starts)}
+    x, y = _zeta_series(sweep.rows)
+    fits = {s: _fit(x[s:s + total_steps], y[s:s + total_steps], (s, total_steps))
+            for s in range(n_starts)}
     # residuals below the float-dust floor count as zero, so exact-data ties
     # break toward the smaller start
     floor = (1e-12 ** 2) * total_steps
@@ -448,12 +478,13 @@ def estimate_helium(data: HartreeFockData, mode: str = EXACT, shots: int = 100_0
     c_es: dict[str, float] = {}
     signs: dict[str, int] = {}
     details: dict[str, PartEstimate] = {}
+    streams = StepStreams(seed)   # parts sampling the same step share its stream
     for part in parts:
         step, total = grids[part]
         config = SweepConfig(lambda_step=step, total_steps=total, shots=shots,
                              seed=seed, mode=mode, start_candidates=start_candidates,
                              c_e=None if c_e is None else c_e.get(part))
-        sweep = run_block_sweep(blocks[part], config, part)
+        sweep = run_block_sweep(blocks[part], config, part, streams=streams)
         selection = select_start_step(sweep, step, total)
         fits[part] = selection.best
         c_es[part] = sweep.c_e

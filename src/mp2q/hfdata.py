@@ -55,14 +55,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _tensor_from_schema(node: dict, n: int, name: str) -> np.ndarray:
+def _float_array(value, name: str) -> np.ndarray:
+    """A float array from nested JSON lists; anything numpy cannot convert
+    (a string, an object, a ragged list) is a SchemaError naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{name} is not a number or equal-length lists of numbers") from None
+
+
+def _tensor_from_schema(node, n: int, name: str) -> np.ndarray:
+    if not isinstance(node, dict):
+        raise SchemaError(f"{name} must be an object with 'format' and 'data', "
+                          f"got {type(node).__name__}")
     fmt = node.get("format")
+    if fmt in ("dense", "sparse") and "data" not in node:
+        raise SchemaError(f"{fmt} {name} has no 'data'")
     if fmt == "dense":
-        arr = np.asarray(node["data"], dtype=float)
+        arr = _float_array(node["data"], f"dense {name} data")
         if arr.shape != (n, n, n, n):
             raise SchemaError(f"dense {name} has shape {arr.shape}, expected {(n,) * 4}")
         return arr
     if fmt == "sparse":
+        if not isinstance(node["data"], list):
+            raise SchemaError(f"sparse {name} data must be a list of [a, b, r, s, value], "
+                              f"got {type(node['data']).__name__}")
         arr = np.zeros((n, n, n, n))
         for k, entry in enumerate(node["data"]):
             where = f"{name} sparse entry {k} {entry!r}"
@@ -75,7 +92,7 @@ def _tensor_from_schema(node: dict, n: int, name: str) -> np.ndarray:
                     raise SchemaError(f"{where}: index {i!r} is not an integer in 0..{n - 1}")
             try:
                 arr[tuple(index)] = float(val)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SchemaError(f"{where}: value {val!r} is not a number") from None
         return arr
     raise SchemaError(f"unknown {name} format {fmt!r}")
@@ -85,6 +102,8 @@ def load(source) -> HartreeFockData:
     """Load HF results from the JSON schema, given a path or the file's bytes;
     validates units, notation and symmetry."""
     doc = json.loads(source if isinstance(source, bytes) else Path(source).read_bytes())
+    if not isinstance(doc, dict):
+        raise SchemaError(f"HF data must be a JSON object, got {type(doc).__name__}")
     for key in ("n_orbitals", "n_occupied", "units", "notation",
                 "orbital_energies", "mo_coefficients", "eri_mo"):
         if key not in doc:
@@ -101,8 +120,8 @@ def load(source) -> HartreeFockData:
     data = HartreeFockData(
         n_orbitals=n,
         n_occupied=doc["n_occupied"],
-        orbital_energies=np.asarray(doc["orbital_energies"], dtype=float),
-        mo_coefficients=np.asarray(doc["mo_coefficients"], dtype=float),
+        orbital_energies=_float_array(doc["orbital_energies"], "orbital_energies"),
+        mo_coefficients=_float_array(doc["mo_coefficients"], "mo_coefficients"),
         eri_mo=_tensor_from_schema(doc["eri_mo"], n, "eri_mo"),
         eri_ao=eri_ao,
     )

@@ -136,13 +136,17 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int) -> CountsTable:
+def sample_counts(probs: np.ndarray, shots: int, seed: int,
+                  rng: np.random.Generator | None = None) -> CountsTable:
     """Seeded multinomial draw from an exact outcome distribution, indexed by
-    basis state (e.g. probabilities(state))."""
+    basis state (e.g. probabilities(state)). `rng`, if given, must stand at
+    the start of PCG64(seed)'s stream (`StepStreams.generator`), so the
+    counts are those of `seed` either way; None seeds it here."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = probs / probs.sum()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(seed))
     return CountsTable(shots, rng.multinomial(shots, probs), seed)
 
 
@@ -156,3 +160,29 @@ def task_seed(base_seed: int, task_index: int) -> int:
     """Deterministic per-task seed derived from (base_seed, task_index)."""
     ss = np.random.SeedSequence([int(base_seed) & 0xFFFFFFFFFFFFFFFF, int(task_index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+class StepStreams:
+    """The PCG64(task_seed(base_seed, step)) stream of each sampling step,
+    seeded once, on first use. Later uses of a step restore its start state
+    into the one live bit generator, so sweeps that draw at the same step
+    pay for one seeding between them. A table serves one run and is dropped
+    with it; nothing is kept across runs."""
+
+    def __init__(self, base_seed: int):
+        self.base_seed = base_seed
+        self._starts: dict[int, tuple[int, dict]] = {}
+        self._bit_generator: np.random.PCG64 | None = None
+
+    def generator(self, step: int) -> tuple[int, np.random.Generator]:
+        """(seed, generator at the start of the step's stream). The generator
+        shares the live bit generator, so it is spent by the next call."""
+        start = self._starts.get(step)
+        if start is None:
+            seed = task_seed(self.base_seed, step)
+            self._bit_generator = np.random.PCG64(seed)
+            self._starts[step] = seed, self._bit_generator.state
+        else:
+            seed = start[0]
+            self._bit_generator.state = start[1]
+        return seed, np.random.Generator(self._bit_generator)

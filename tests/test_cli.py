@@ -364,6 +364,26 @@ def test_pipeline_needs_an_hf_path(tmp_path, capsys, config):
     assert "needs --hf-data or an hf_data config entry naming a file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ([{"mode": "exact"}], "config must be a JSON object, got list"),
+    ({"mode": "foo"}, "config key 'mode' must be one of exact, exact-probabilities, "
+                      "sampled, got 'foo'"),
+    ({"mode": 3}, "config key 'mode' must be one of exact, exact-probabilities, "
+                  "sampled, got 3"),
+    ({"mode": ["sampled"]}, "config key 'mode' must be one of"),
+])
+def test_pipeline_rejects_a_bad_config_or_mode(tmp_path, capsys, helium_path, config, message):
+    # a list once ended in an AttributeError traceback, and an unknown mode
+    # printed only "error: 'foo'"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--hf-data", helium_path,
+                 "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("out_dir", [5, ["out"], None])
 def test_pipeline_rejects_a_non_string_out_dir(tmp_path, capsys, helium_path, monkeypatch,
                                                out_dir):

@@ -463,6 +463,56 @@ def test_sweep_transforms_only_rows_whose_lambda_passed(monkeypatch):
     assert batches == [1]
 
 
+def test_sampled_helium_run_seeds_each_step_once(helium, monkeypatch):
+    # parts I, III and IV sweep 16 + 18 + 32 rows over steps 0..31; each
+    # step is seeded once per run, and a second run seeds again
+    seeded = []
+    task_seed = statevec.task_seed
+
+    def counting(base_seed, step):
+        seeded.append(step)
+        return task_seed(base_seed, step)
+
+    monkeypatch.setattr(statevec, "task_seed", counting)
+    for _ in range(2):
+        seeded.clear()
+        result = estimate_helium(helium, mode=estimate.SAMPLED, seed=3)
+        assert sum(len(p.sweep.rows) for p in result.parts.values()) == 66
+        assert sorted(seeded) == list(range(32))
+
+
+def test_shared_streams_draw_what_each_sweep_draws_alone(helium, helium_blocks):
+    result = estimate_helium(helium, mode=estimate.SAMPLED, shots=5000, seed=11)
+    for part, detail in result.parts.items():
+        step, total = estimate.DEFAULT_HELIUM_GRIDS[estimate.SAMPLED][part]
+        config = SweepConfig(step, total, shots=5000, seed=11, mode=estimate.SAMPLED,
+                             start_candidates=4)
+        alone = run_block_sweep(helium_blocks[part], config, part).rows
+        assert len(detail.sweep.rows) == len(alone)
+        for row, ref in zip(detail.sweep.rows, alone):
+            assert row.counts.counts.tobytes() == ref.counts.counts.tobytes()
+            assert row.counts.seed == ref.counts.seed == statevec.task_seed(11, row.step)
+            assert (row.zeta, row.zeta_signal) == (ref.zeta, ref.zeta_signal)
+
+
+def test_step_stream_restarts_where_a_fresh_seeding_starts():
+    streams = statevec.StepStreams(4)
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    for step in (2, 0, 2, 2, 0):
+        seed, rng = streams.generator(step)
+        assert seed == statevec.task_seed(4, step)
+        shared = statevec.sample_counts(probs, 777, seed, rng)
+        fresh = statevec.sample_counts(probs, 777, seed)
+        assert shared.counts.tobytes() == fresh.counts.tobytes()
+
+
+def test_sweep_rejects_streams_of_another_seed():
+    blk = random_block(np.random.default_rng(3))
+    config = SweepConfig(0.05, 3, shots=100, seed=1, mode=estimate.SAMPLED, start_candidates=0)
+    with pytest.raises(ValueError, match="streams of seed 2 for a sweep of seed 1"):
+        run_block_sweep(blk, config, streams=statevec.StepStreams(2))
+
+
 def _one_row_sweep(block, config):
     """The sweep one row at a time, each row its own 1-D transform: the
     reference that the chunked sweep must match bit for bit."""
@@ -518,6 +568,17 @@ def test_chunked_sweep_matches_one_row_reference(q, mode):
             else:
                 assert row.probs is None
                 assert row.counts.counts.tobytes() == ref.counts.counts.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_ordered_sums_match_a_masked_left_to_right_sum(n):
+    values = np.random.default_rng(n).random((5, n)) ** 4
+    for base in range(n):
+        total, without = estimate._ordered_sums(values, base)
+        masked = np.delete(values, base, axis=1)
+        for i, row in enumerate(values):
+            assert total[i] == np.cumsum(row)[-1]
+            assert without[i] == (np.cumsum(masked[i])[-1] if n > 1 else 0.0)
 
 
 def test_wide_block_sweeps_without_angle_solve():

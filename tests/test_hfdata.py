@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mp2q import hfdata
 from mp2q.errors import SchemaError
@@ -294,3 +295,73 @@ def test_eri_block_rejects_non_finite(field, value):
         hfdata.EriBlock("B", (0, 0), (1, 2), (1, 2), **arrays)
     arrays[field][2] = {"gamma": 0.2, "denominators": -np.inf}[field]  # -inf: padding
     hfdata.EriBlock("B", (0, 0), (1, 2), (1, 2), **arrays)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("eri_mo", [1, 2], "eri_mo must be an object with 'format' and 'data', got list"),
+    ("eri_ao", None, "eri_ao must be an object with 'format' and 'data', got NoneType"),
+    ("eri_mo", {"format": "dense"}, "dense eri_mo has no 'data'"),
+    ("eri_mo", {"format": "dense", "data": "abc"}, "dense eri_mo data is not a number"),
+    ("eri_ao", {"format": "dense", "data": [[[[0.0, 0.0]]], [0.0]]},
+     "dense eri_ao data is not a number"),
+    ("eri_mo", {"format": "sparse", "data": 5},
+     "sparse eri_mo data must be a list of \\[a, b, r, s, value\\], got int"),
+    ("eri_mo", {"format": "sparse", "data": [[0, 0, 1, 1, 10 ** 400]]},
+     "value .* is not a number"),
+    ("orbital_energies", [-0.5, 10 ** 400], "orbital_energies is not a number"),
+    ("orbital_energies", ["low", "high"], "orbital_energies is not a number"),
+    ("orbital_energies", {"0": -0.5}, "orbital_energies is not a number"),
+    ("mo_coefficients", [[1.0, 0.0], [0.0]], "mo_coefficients is not a number"),
+])
+def test_load_names_the_field_it_cannot_read(tmp_path, field, value, reason):
+    # before, a non-object tensor node ended in an AttributeError traceback,
+    # and a string or ragged list in numpy's message, naming no field
+    doc = minimal_doc(**{field: value})
+    with pytest.raises(SchemaError, match=reason):
+        hfdata.load(write_fixture(tmp_path, doc))
+
+
+def test_load_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(SchemaError, match="HF data must be a JSON object, got int"):
+        hfdata.load(b"5")
+
+
+HELIUM_DOC = json.loads(hfdata.helium_fixture_path().read_bytes())
+
+
+def _mutated(data, node):
+    """A copy of node with one part of it replaced: the node itself, or,
+    going down, one of its entries. Only the containers on the way down are
+    copied."""
+    if isinstance(node, (list, dict)) and node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(range(len(node)) if isinstance(node, list)
+                                        else sorted(node)))
+        copy = list(node) if isinstance(node, list) else dict(node)
+        copy[key] = _mutated(data, node[key])
+        return copy
+    replacements = [st.none(), st.booleans(), st.integers(-2, 10), st.text(max_size=3),
+                    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                    st.just([]), st.just({}), st.just({"format": "dense", "data": None})]
+    if isinstance(node, list) and node:
+        # ragged: one entry short or one too many; or a null in front
+        replacements += [st.just(node[:-1]), st.just(node + node[-1:]),
+                         st.just([None] + node[1:])]
+    return data.draw(st.one_of(replacements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_load_of_a_mutated_helium_document_is_valid_or_a_schema_error(data):
+    # one field of the helium document with its type swapped, a null put in,
+    # a list made ragged or a non-finite number put in
+    blob = json.dumps(_mutated(data, HELIUM_DOC)).encode()
+    try:
+        loaded = hfdata.load(blob)
+    except SchemaError:
+        return
+    n = loaded.n_orbitals
+    assert loaded.orbital_energies.shape == (n,)
+    assert loaded.mo_coefficients.shape == (n, n)
+    assert loaded.eri_mo.shape == (n,) * 4
+    for values in (loaded.orbital_energies, loaded.mo_coefficients, loaded.eri_mo):
+        assert np.all(np.isfinite(values))
