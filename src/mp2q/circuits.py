@@ -13,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import SchemaError, json_int, json_number
+
 # gate kinds
 X = "x"
 H = "h"
@@ -173,11 +175,18 @@ class Circuit:
         return {"n_qubits": self.n_qubits, "gates": gates}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Circuit":
-        circ = cls(int(d["n_qubits"]))
-        for g in d["gates"]:
-            circ.add(Gate(g["kind"], tuple(g["qubits"]), g.get("angle"),
-                          g.get("polarity", ONE_CONTROL)))
+    def from_dict(cls, d: dict, source: str = "circuit") -> "Circuit":
+        """The circuit of a to_dict document; a count, operand, polarity or angle of
+        the wrong JSON type is a SchemaError naming `source`, the gate and the field."""
+        circ = cls(json_int(d["n_qubits"], f"{source}: n_qubits"))
+        for i, g in enumerate(d["gates"]):
+            where = f"{source}: gate {i}"
+            if not isinstance(g, dict) or not isinstance(g.get("qubits"), list):
+                raise SchemaError(f"{where}: expected an object with a 'qubits' list")
+            angle = g.get("angle")
+            circ.add(Gate(g["kind"], tuple(json_int(q, f"{where} qubits") for q in g["qubits"]),
+                          None if angle is None else json_number(angle, f"{where} angle"),
+                          json_int(g.get("polarity", ONE_CONTROL), f"{where} polarity")))
         return circ
 
     def to_json(self) -> str:
@@ -190,7 +199,7 @@ class Circuit:
     @classmethod
     def load(cls, path) -> "Circuit":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), str(path))
 
 
 def controlled(circuit: Circuit, control: int) -> list[Gate]:

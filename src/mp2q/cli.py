@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, estimate, hfdata, lowering, mp2
 from .circuits import Circuit
 from .coupling import CouplingMap, named_map, pack_parallel_ue
-from .errors import LoweringError, NumericalError, SchemaError
+from .errors import LoweringError, NumericalError, SchemaError, json_int
 
 
 def _fmt(x: float) -> str:
@@ -98,12 +98,9 @@ def _as_float(value, where: str) -> float:
     raise SchemaError(f"{where}: {value!r} is not a float")
 
 
-def _as_int(value, where: str, positive: bool = True) -> int:
-    """A JSON integer, positive unless told otherwise; a bool, a float or a
-    string is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: {value!r} is not an integer")
-    if positive and value < 1:
+def _as_int(value, where: str) -> int:
+    """A positive JSON integer (`json_int`)."""
+    if json_int(value, where) < 1:
         raise SchemaError(f"{where}: {value!r} is not positive")
     return value
 
@@ -142,7 +139,7 @@ def cmd_pipeline(args) -> int:
     if mode == "exact":
         mode = estimate.EXACT
     seed = (args.seed if args.seed is not None
-            else _as_int(config.get("seed", 7), "config key 'seed'", positive=False))
+            else json_int(config.get("seed", 7), "config key 'seed'"))
     shots = (args.shots if args.shots is not None
              else _as_int(config.get("shots", 100_000), "config key 'shots'"))
     defaults = estimate.DEFAULT_HELIUM_GRIDS[mode]
@@ -198,15 +195,14 @@ def _render_sweep_csv(result: estimate.PipelineEstimate) -> str:
     formatted once."""
     lines = ["part,step,lambda,lambda_sq,outcome,count,shots,zeta"]
     for part, detail in sorted(result.parts.items()):
-        rows = detail.sweep.rows
-        # exact mode writes each probability as the count, with shots 0
-        sampled = detail.sweep.mode == estimate.SAMPLED
-        values = np.array([row.counts.counts if sampled else row.probs for row in rows])
+        rows, values, shots = detail.sweep.rows, detail.sweep.outcomes, detail.sweep.shots
         width = values.shape[1].bit_length() - 1
         outcome = [format(i, f"0{width}b") for i in range(values.shape[1])]
-        heads = [f"{part},{row.step},{_fmt(row.lam)},{_fmt(row.lam_sq)}," for row in rows]
-        tails = [f",{row.counts.shots if sampled else 0},{_fmt(row.zeta)}" for row in rows]
-        cell = str if sampled else _fmt
+        heads = [f"{part},{step},{_fmt(lam)},{_fmt(lam_sq)},"
+                 for step, (lam, lam_sq, _, _) in enumerate(rows.tolist())]
+        tails = [f",{shots},{_fmt(zeta)}" for zeta in rows.zeta.tolist()]
+        # exact mode writes each probability as the count, with shots 0
+        cell = str if shots else _fmt
         at, code = np.nonzero(values > 0)
         lines += [f"{heads[i]}{outcome[j]},{cell(v)}{tails[i]}"
                   for i, j, v in zip(at.tolist(), code.tolist(), values[at, code].tolist())]
@@ -250,7 +246,7 @@ def _read_layout(path, n_qubits: int) -> dict[int, int]:
         if key not in qubits:
             raise SchemaError(f"{path}: layout key {key!r} is not a qubit of the "
                               f"{n_qubits}-qubit circuit")
-        layout[qubits[key]] = _as_int(value, f"{path}: layout entry {key!r}", positive=False)
+        layout[qubits[key]] = json_int(value, f"{path}: layout entry {key!r}")
     return layout
 
 

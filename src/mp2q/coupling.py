@@ -14,6 +14,7 @@ from functools import cached_property
 from importlib import resources
 
 from .circuits import NATIVE_KINDS, Circuit
+from .errors import SchemaError, json_int
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,22 @@ class CouplingMap:
             json.dump(self.to_dict(), fh, indent=1)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CouplingMap":
-        return cls.from_edges(int(d["n_qubits"]), d["edges"], d.get("name", ""))
+    def from_dict(cls, d: dict, source: str = "coupling map") -> "CouplingMap":
+        """The map of a to_dict document; a qubit count or edge end that is not a
+        JSON integer is a SchemaError naming `source` and the field or edge."""
+        edges = []
+        for i, edge in enumerate(d["edges"]):
+            where = f"{source}: edge {i}"
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise SchemaError(f"{where}: {edge!r} is not a pair of qubits")
+            edges.append(tuple(json_int(q, where) for q in edge))
+        return cls.from_edges(json_int(d["n_qubits"], f"{source}: n_qubits"), edges,
+                              d.get("name", ""))
 
     @classmethod
     def load(cls, path) -> "CouplingMap":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), str(path))
 
 
 def complete_map(n: int) -> CouplingMap:

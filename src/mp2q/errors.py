@@ -12,3 +12,17 @@ class LoweringError(Mp2qError):
 
 class NumericalError(Mp2qError):
     """Zero denominator or other numerical failure."""
+
+
+def json_int(value, where: str) -> int:
+    """`value` if it is a JSON integer: a bool, float or string is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: {value!r} is not an integer")
+    return value
+
+
+def json_number(value, where: str) -> float:
+    """`value` as a float if it is a JSON number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: {value!r} is not a number")
+    return float(value)

@@ -9,7 +9,7 @@ which is what the energy divides out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .builders import SQRT, _targets, default_base_state, default_c_e, fwht, rat
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
-from .statevec import CountsTable, StepStreams
+from .statevec import StepStreams
 
 EXACT = "exact-probabilities"
 SAMPLED = "sampled"
@@ -41,20 +41,10 @@ class SweepConfig:
         return self.total_steps + self.start_candidates
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    step: int
-    lam: float
-    lam_sq: float
-    zeta: float                       # Pr[q' = 1], all register outcomes
-    zeta_signal: float                # Pr[q' = 1 and register != base state]
-    probs: np.ndarray | None = None   # exact mode, indexed by basis state
-    counts: CountsTable | None = None  # sampled mode
-
-    def outcome_fractions(self) -> np.ndarray:
-        if self.counts is not None:
-            return self.counts.counts / self.counts.shots
-        return self.probs
+# One sweep row per lambda step; the step is the row index.
+ROW_FIELDS = np.dtype([("lam", float), ("lam_sq", float),
+                       ("zeta", float),           # Pr[q' = 1], all register outcomes
+                       ("zeta_signal", float)])   # Pr[q' = 1 and register != base state]
 
 
 @dataclass
@@ -63,12 +53,10 @@ class SweepResult:
     c_e: float
     base_state: int
     n_register_qubits: int
-    readout: int | None
-    mode: str
-    rows: list[SweepRow] = field(default_factory=list)
-
-    def lambda_squares(self) -> np.ndarray:
-        return np.array([r.lam_sq for r in self.rows])
+    shots: int                        # per row in sampled mode, 0 in exact mode
+    rows: np.recarray                 # ROW_FIELDS, one record per step
+    outcomes: np.ndarray              # (rows x basis states): float64 probabilities,
+                                      # or int64 counts in sampled mode
 
 
 @dataclass(frozen=True)
@@ -96,7 +84,7 @@ def _uint_spectrum(block: EriBlock, base: int) -> tuple[np.ndarray, np.ndarray]:
     return fwht(block.gamma[idx ^ base]), fwht(idx == base)
 
 
-def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: list[float]) -> np.ndarray:
+def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: np.ndarray) -> np.ndarray:
     """Register probabilities |psi|^2 of exp(i*lambda*V)|y>, one row per
     lambda, in closed form: the amplitudes are fwht(exp(i*lambda*d) * signs)
     / 2^Q, and all rows share one transform."""
@@ -105,42 +93,34 @@ def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: list[float]) 
     return psi.real ** 2 + psi.imag ** 2
 
 
-def _sweep_chunk(registers: np.ndarray, readout_split: np.ndarray | None,
-                 base: int, config: SweepConfig, first: int,
-                 streams: StepStreams) -> list[SweepRow]:
-    """The sweep rows of steps first, first + 1, ... from their register
+def _sweep_chunk(sweep: SweepResult, first: int, registers: np.ndarray,
+                 readout_split: np.ndarray, config: SweepConfig,
+                 streams: StepStreams) -> None:
+    """Fill rows first, first + 1, ... of `sweep` from their register
     probabilities (`_register_probs`, one row per step), the whole chunk at
-    once. U_E moves register outcome x to readout 1 with probability w[x];
-    readout_split is (1 - w, w) end to end, None for the U_INT circuit alone
-    (no readout qubit)."""
-    if readout_split is None:
-        probs = registers
-    else:
-        probs = np.concatenate([registers, registers], axis=1) * readout_split
+    once. U_E moves register outcome x to readout 1 with probability w[x]:
+    readout_split holds the rows 1 - w and w, or one row of ones for the U_INT
+    circuit alone (no readout qubit)."""
+    rows = sweep.rows[first:first + len(registers)]
+    outcomes = sweep.outcomes[first:first + len(registers)]
+    sampled = config.mode == SAMPLED
+    # an exact chunk's probabilities are its outcomes, a sampled chunk draws from them
+    probs = np.empty(outcomes.shape) if sampled else outcomes
+    np.multiply(registers[:, None], readout_split,
+                out=probs.reshape(len(probs), *readout_split.shape))
     totals = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-10))   # NaN is bad too
     if bad.size:
         raise NumericalError(f"row {first + int(bad[0])} probabilities sum to "
                              f"{float(totals[bad[0]])}")
-    steps = range(first, first + len(probs))
-    # a sampled row keeps its counts, an exact row its probabilities
-    if config.mode == SAMPLED:
-        counts = [statevec.sample_counts(row, config.shots, *streams.generator(step))
-                  for step, row in zip(steps, probs)]
-        fractions = np.array([c.counts for c in counts]) / config.shots
-        kept = [None] * len(probs)
-    else:
-        counts, fractions, kept = [None] * len(probs), probs, list(probs)
-    if readout_split is None:
-        zetas = signals = _ordered_sums(fractions, base)[1]
-    else:
-        zetas, signals = _ordered_sums(fractions[:, registers.shape[1]:], base)
-    rows = []
-    for step, zeta, signal, row_probs, row_counts in zip(
-            steps, zetas.tolist(), signals.tolist(), kept, counts):
-        lam = step * config.lambda_step
-        rows.append(SweepRow(step, lam, lam * lam, zeta, signal, row_probs, row_counts))
-    return rows
+    fractions = probs
+    if sampled:
+        for step, row, counts in zip(range(first, first + len(probs)), probs, outcomes):
+            counts[...] = statevec.sample_counts(row, config.shots, streams.generator(step))
+        fractions = outcomes / config.shots
+    # zeta counts readout 1, or with no readout qubit the register outside the base state
+    zeta, rows.zeta_signal = _ordered_sums(fractions[:, -registers.shape[1]:], sweep.base_state)
+    rows.zeta = zeta if len(readout_split) == 2 else rows.zeta_signal
 
 
 def _ordered_sums(values: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,20 +160,23 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     spectrum = _uint_spectrum(block, base)
     # U_E rotates the readout of register input x by the target angle T_x
     weights = np.sin(targets / 2) ** 2
-    split = None if config.circuit == "uint" else np.concatenate([1.0 - weights, weights])
+    split = (np.ones((1, weights.size)) if config.circuit == "uint"
+             else np.stack([1.0 - weights, weights]))
     lams = [step * config.lambda_step for step in range(config.n_rows())]
     # only rows before the first bad lambda are transformed
     n_good = next((s for s, lam in enumerate(lams) if not 0.0 <= lam < np.inf), len(lams))
+    rows = np.recarray(n_good, ROW_FIELDS)
+    rows.lam, rows.lam_sq = lams[:n_good], [lam * lam for lam in lams[:n_good]]
+    shots = config.shots if config.mode == SAMPLED else 0
+    sweep = SweepResult(part or "block", c_e, base, block.n_qubits, shots, rows,
+                        np.empty((n_good, split.size), np.int64 if shots else float))
     per_chunk = max(1, _CHUNK_AMPLITUDES >> block.n_qubits)
-    rows = []
     for first in range(0, n_good, per_chunk):
-        registers = _register_probs(spectrum, lams[first:min(first + per_chunk, n_good)])
-        rows += _sweep_chunk(registers, split, base, config, first, streams)
+        registers = _register_probs(spectrum, rows.lam[first:first + per_chunk])
+        _sweep_chunk(sweep, first, registers, split, config, streams)
     if n_good < len(lams):
         raise ValueError(f"lambda must be finite and >= 0, got {lams[n_good]}")
-    readout = None if config.circuit == "uint" else block.n_qubits
-    return SweepResult(part or "block", c_e, base, block.n_qubits, readout,
-                       config.mode, rows)
+    return sweep
 
 
 def run_sweep(data: HartreeFockData, part: str, config: SweepConfig) -> SweepResult:
@@ -235,11 +218,6 @@ def _plateau(x: np.ndarray, y: np.ndarray, slope: float) -> bool:
     return bool(observed <= 0.0 or predicted / observed > 1.25)
 
 
-def _zeta_series(rows: list[SweepRow]) -> tuple[np.ndarray, np.ndarray]:
-    """lambda^2 and zeta_signal of the rows: the x and y of a zeta fit."""
-    return np.array([r.lam_sq for r in rows]), np.array([r.zeta_signal for r in rows])
-
-
 def _fit(x: np.ndarray, y: np.ndarray, window: tuple[int, int]) -> RegressionFit:
     slope, intercept, lse = _ols(x, y)
     return RegressionFit(slope, intercept, lse, window, _plateau(x, y, slope))
@@ -251,7 +229,7 @@ def fit_zeta(sweep: SweepResult, window: tuple[int, int]) -> RegressionFit:
     rows = sweep.rows[start:start + count]
     if len(rows) < count:
         raise ValueError(f"window {window} exceeds sweep of {len(sweep.rows)} rows")
-    return _fit(*_zeta_series(rows), (start, count))
+    return _fit(rows.lam_sq, rows.zeta_signal, (start, count))
 
 
 @dataclass(frozen=True)
@@ -264,12 +242,12 @@ class StartStepSelection:
 def select_start_step(sweep: SweepResult, step_len: float,
                       total_steps: int) -> StartStepSelection:
     """Fit every candidate window and keep the minimum-LSE start (ties: smaller)."""
-    if step_len and sweep.rows[1].lam and abs(sweep.rows[1].lam - step_len) > 1e-12:
+    lam, x, y = sweep.rows.lam, sweep.rows.lam_sq, sweep.rows.zeta_signal
+    if step_len and lam[1] and abs(lam[1] - step_len) > 1e-12:
         raise ValueError("step_len does not match the sweep grid")
-    n_starts = len(sweep.rows) - total_steps + 1
+    n_starts = len(x) - total_steps + 1
     if n_starts < 1:
         raise ValueError("not enough rows for one full window")
-    x, y = _zeta_series(sweep.rows)
     fits = {s: _fit(x[s:s + total_steps], y[s:s + total_steps], (s, total_steps))
             for s in range(n_starts)}
     # residuals below the float-dust floor count as zero, so exact-data ties
@@ -296,11 +274,12 @@ def estimate_eri_slopes(sweep: SweepResult, window: tuple[int, int] | None = Non
     The slope of outcome x recovers gamma_x^2; sqrt(slope) is the |gamma|
     estimate. Runs on uint sweeps (or pipeline sweeps, marginalized over q')."""
     start, count = window if window is not None else (0, len(sweep.rows))
-    rows = sweep.rows[start:start + count]
-    x = np.array([r.lam_sq for r in rows])
+    x = sweep.rows.lam_sq[start:start + count]
     # frequency of each register code, summed over the readout bit if any
-    fractions = np.array([r.outcome_fractions() for r in rows])
-    series = fractions.reshape(len(rows), -1, 1 << sweep.n_register_qubits).sum(axis=1)
+    fractions = sweep.outcomes[start:start + count]
+    if sweep.shots:
+        fractions = fractions / sweep.shots
+    series = fractions.reshape(len(x), -1, 1 << sweep.n_register_qubits).sum(axis=1)
     out = {}
     for code in range(series.shape[1]):
         if code == sweep.base_state or not series[:, code].any():

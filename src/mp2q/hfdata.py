@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, json_number
 
 SYMMETRY_TOL = 1e-8
 
@@ -50,18 +50,22 @@ class HartreeFockData:
         return list(range(self.n_occupied, self.n_orbitals))
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: floats are rejected, not truncated; bools are not ints here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """A float array from nested JSON lists; anything numpy cannot convert
-    (a string, an object, a ragged list) is a SchemaError naming the field."""
+def _float_array(value, name: str, each: bool = True) -> np.ndarray:
+    """A float array from nested JSON lists of numbers. A string, an object,
+    a ragged list or all-bool data is a SchemaError naming the field; so is
+    any bool when `each` looks at every element, a Python pass that the
+    large dense tensors skip (a bool among their floats reads as 1.0)."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{name} is not a number or equal-length lists of numbers") from None
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or (each and _has_bool(value)):
+        raise SchemaError(f"{name} is not a number or equal-length lists of numbers")
+    return arr.astype(float, copy=False)
 
 
 def _tensor_from_schema(node, n: int, name: str) -> np.ndarray:
@@ -72,7 +76,7 @@ def _tensor_from_schema(node, n: int, name: str) -> np.ndarray:
     if fmt in ("dense", "sparse") and "data" not in node:
         raise SchemaError(f"{fmt} {name} has no 'data'")
     if fmt == "dense":
-        arr = _float_array(node["data"], f"dense {name} data")
+        arr = _float_array(node["data"], f"dense {name} data", each=False)
         if arr.shape != (n, n, n, n):
             raise SchemaError(f"dense {name} has shape {arr.shape}, expected {(n,) * 4}")
         return arr
@@ -87,12 +91,12 @@ def _tensor_from_schema(node, n: int, name: str) -> np.ndarray:
                 raise SchemaError(f"{where}: expected [a, b, r, s, value]")
             *index, val = entry
             for i in index:
-                # a negative index would wrap around, a float would be truncated
-                if not (_is_int(i) and 0 <= i < n):
+                # a negative index would wrap around, a float or bool would pass
+                if not (type(i) is int and 0 <= i < n):
                     raise SchemaError(f"{where}: index {i!r} is not an integer in 0..{n - 1}")
             try:
-                arr[tuple(index)] = float(val)
-            except (TypeError, ValueError, OverflowError):
+                arr[tuple(index)] = json_number(val, where)
+            except (SchemaError, OverflowError):
                 raise SchemaError(f"{where}: value {val!r} is not a number") from None
         return arr
     raise SchemaError(f"unknown {name} format {fmt!r}")
@@ -109,7 +113,7 @@ def load(source) -> HartreeFockData:
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
     for key in ("n_orbitals", "n_occupied"):
-        if not (_is_int(doc[key]) and doc[key] >= 0):
+        if not (type(doc[key]) is int and doc[key] >= 0):
             raise SchemaError(f"{key} must be a non-negative integer, got {doc[key]!r}")
     if doc["units"] != "hartree":
         raise SchemaError(f"units must be 'hartree', got {doc['units']!r}")

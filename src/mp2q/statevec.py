@@ -30,17 +30,6 @@ class StateVector:
             raise ValueError(f"amplitude vector must have length 2^{self.n_qubits}")
 
 
-@dataclass
-class CountsTable:
-    shots: int
-    counts: np.ndarray               # int64 draws indexed by basis state
-    seed: int
-
-    def __post_init__(self):
-        if int(self.counts.sum()) != self.shots:
-            raise ValueError("counts must sum to shots")
-
-
 def zero_state(n_qubits: int) -> StateVector:
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
@@ -136,18 +125,15 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int,
-                  rng: np.random.Generator | None = None) -> CountsTable:
-    """Seeded multinomial draw from an exact outcome distribution, indexed by
-    basis state (e.g. probabilities(state)). `rng`, if given, must stand at
-    the start of PCG64(seed)'s stream (`StepStreams.generator`), so the
-    counts are those of `seed` either way; None seeds it here."""
+def sample_counts(probs: np.ndarray, shots: int,
+                  seed: int | np.random.Generator) -> np.ndarray:
+    """Seeded multinomial draw from an exact outcome distribution: int64
+    counts indexed by basis state (e.g. probabilities(state)), summing to
+    shots. `seed` seeds PCG64, or is a generator at the start of a PCG64
+    stream (`StepStreams.generator`), which draws the counts of that seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = probs / probs.sum()
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-    return CountsTable(shots, rng.multinomial(shots, probs), seed)
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def marginal_probability(state: StateVector, qubit: int, value: int = 1) -> float:
@@ -171,18 +157,16 @@ class StepStreams:
 
     def __init__(self, base_seed: int):
         self.base_seed = base_seed
-        self._starts: dict[int, tuple[int, dict]] = {}
+        self._starts: dict[int, dict] = {}
         self._bit_generator: np.random.PCG64 | None = None
 
-    def generator(self, step: int) -> tuple[int, np.random.Generator]:
-        """(seed, generator at the start of the step's stream). The generator
-        shares the live bit generator, so it is spent by the next call."""
+    def generator(self, step: int) -> np.random.Generator:
+        """The generator at the start of the step's stream. It shares the live
+        bit generator, so it is spent by the next call."""
         start = self._starts.get(step)
         if start is None:
-            seed = task_seed(self.base_seed, step)
-            self._bit_generator = np.random.PCG64(seed)
-            self._starts[step] = seed, self._bit_generator.state
+            self._bit_generator = np.random.PCG64(task_seed(self.base_seed, step))
+            self._starts[step] = self._bit_generator.state
         else:
-            seed = start[0]
-            self._bit_generator.state = start[1]
-        return seed, np.random.Generator(self._bit_generator)
+            self._bit_generator.state = start
+        return np.random.Generator(self._bit_generator)

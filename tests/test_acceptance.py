@@ -186,10 +186,8 @@ def test_criterion_9_start_step_selection():
     y += rng.normal(0, resid / 10, 12)
     y[0] += 10 * resid
     y[1] -= 10 * resid
-    rows = [estimate.SweepRow(i, float(np.sqrt(xi)), float(xi), float(yi),
-                              float(yi), probs=np.zeros(32))
-            for i, (xi, yi) in enumerate(zip(x, y))]
-    sweep = estimate.SweepResult("S", 1.0, 1, 4, 4, estimate.EXACT, rows)
+    rows = np.rec.fromarrays([np.sqrt(x), x, y, y], dtype=estimate.ROW_FIELDS)
+    sweep = estimate.SweepResult("S", 1.0, 1, 4, 0, rows, np.zeros((12, 32)))
     sel = select_start_step(sweep, step_len=0.0, total_steps=10)
     report(9, sel.best_start == 2,
            f"two displaced leading points: selected start {sel.best_start} (=2); "

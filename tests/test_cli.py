@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mp2q import circuits as cg, cli, estimate, hfdata, mp2, statevec
+from mp2q import circuits as cg, cli, estimate, hfdata, mp2
 from mp2q.circuits import Circuit
 from mp2q.builders import build_ue, default_c_e, ratio_table, solve_angles
 from mp2q.cli import main
@@ -296,15 +296,14 @@ def _reference_sweep_csv(result):
     w = csv.writer(fh)
     w.writerow(["part", "step", "lambda", "lambda_sq", "outcome", "count", "shots", "zeta"])
     for part, detail in sorted(result.parts.items()):
-        for row in detail.sweep.rows:
-            sampled = row.counts is not None
-            values = row.counts.counts if sampled else row.probs
+        shots = detail.sweep.shots
+        for step, (row, values) in enumerate(zip(detail.sweep.rows, detail.sweep.outcomes)):
             width = values.size.bit_length() - 1
             for i in np.flatnonzero(values > 0):
-                w.writerow([part, row.step, cli._fmt(row.lam), cli._fmt(row.lam_sq),
+                w.writerow([part, step, cli._fmt(row.lam), cli._fmt(row.lam_sq),
                             format(i, f"0{width}b"),
-                            values[i] if sampled else cli._fmt(values[i]),
-                            row.counts.shots if sampled else 0, cli._fmt(row.zeta)])
+                            values[i] if shots else cli._fmt(values[i]),
+                            shots, cli._fmt(row.zeta)])
     return fh.getvalue()
 
 
@@ -318,21 +317,17 @@ def _pipeline_estimates(draw):
     parts = {}
     for part in draw(st.lists(st.sampled_from(["I", "III", "IV"]), min_size=1, unique=True)):
         width = draw(st.integers(2, 6))
-        rows = []
+        shots = draw(st.integers(1, 10 ** 7)) if sampled else 0
+        rows, outcomes = [], []
         for step in range(draw(st.integers(1, 3))):
             lam = draw(st.floats(0.0, 10.0))
             zeta = draw(st.floats(0.0, 1.0))
-            if sampled:
-                counts = np.array(draw(st.lists(st.integers(0, 10 ** 6), min_size=1 << width,
-                                                max_size=1 << width)), dtype=np.int64)
-                table = statevec.CountsTable(int(counts.sum()), counts, 0)
-                rows.append(estimate.SweepRow(step, lam, lam * lam, zeta, zeta, None, table))
-            else:
-                probs = np.array(draw(st.lists(_PROBABILITIES, min_size=1 << width,
-                                               max_size=1 << width)))
-                rows.append(estimate.SweepRow(step, lam, lam * lam, zeta, zeta, probs))
-        sweep = estimate.SweepResult(part, 1.0, 0, width - 1, width - 1,
-                                     estimate.SAMPLED if sampled else estimate.EXACT, rows)
+            rows.append((lam, lam * lam, zeta, zeta))
+            values = st.integers(0, 10 ** 6) if sampled else _PROBABILITIES
+            outcomes.append(draw(st.lists(values, min_size=1 << width, max_size=1 << width)))
+        sweep = estimate.SweepResult(part, 1.0, 0, width - 1, shots,
+                                     np.rec.fromrecords(rows, dtype=estimate.ROW_FIELDS),
+                                     np.array(outcomes, dtype=np.int64 if sampled else float))
         parts[part] = estimate.PartEstimate(part, sweep, None, 0.0)
     return estimate.PipelineEstimate(0.0, parts)
 
@@ -646,6 +641,41 @@ def test_lower_rejects_malformed_layout(tmp_path, capsys, layout, reason):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(layout_path) in err and reason in err
+    assert not out_path.exists()
+
+
+_CIRCUIT = {"n_qubits": 2, "gates": [{"kind": "h", "qubits": [0]},
+                                     {"kind": "ry", "qubits": [1], "angle": 0.5}]}
+_COUPLING = {"name": "pair", "n_qubits": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("doc, field, value, reason", [
+    ("circuit", ["n_qubits"], "2", "n_qubits: '2' is not an integer"),
+    ("circuit", ["n_qubits"], 2.9, "n_qubits: 2.9 is not an integer"),
+    ("circuit", ["gates", 1, "angle"], "0.5", "gate 1 angle: '0.5' is not a number"),
+    ("circuit", ["gates", 1, "angle"], True, "gate 1 angle: True is not a number"),
+    ("circuit", ["gates", 1, "qubits", 0], 1.0, "gate 1 qubits: 1.0 is not an integer"),
+    ("circuit", ["gates", 0, "qubits"], 0, "gate 0: expected an object with a 'qubits' list"),
+    ("coupling", ["n_qubits"], "2", "n_qubits: '2' is not an integer"),
+    ("coupling", ["edges", 0, 1], 1.0, "edge 0: 1.0 is not an integer"),
+    ("coupling", ["edges", 0], [0], "edge 0: [0] is not a pair of qubits"),
+])
+def test_lower_rejects_malformed_json(tmp_path, capsys, doc, field, value, reason):
+    # before, these were truncated to integers or ended in a TypeError traceback
+    docs = {"circuit": json.loads(json.dumps(_CIRCUIT)),
+            "coupling": json.loads(json.dumps(_COUPLING))}
+    node = docs[doc]
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, path in paths.items():
+        path.write_text(json.dumps(docs[name]))
+    out_path = tmp_path / "low.json"
+    rc = main(["lower", "--circuit", str(paths["circuit"]), "--coupling",
+               str(paths["coupling"]), "--out", str(out_path)])
+    assert rc == 2
+    assert f"{paths[doc]}: {reason}" in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from conftest import random_block, uint_generator
 from mp2q import builders, estimate, statevec
 from mp2q.builders import default_base_state, default_c_e, ratio_table
 from mp2q.errors import NumericalError
-from mp2q.estimate import (SweepConfig, SweepResult, SweepRow,
+from mp2q.estimate import (SweepConfig, SweepResult,
                            apply_diagonal_error, assemble_energy,
                            correct_denominators, estimate_eri_slopes,
                            estimate_helium, fit_zeta, run_block_sweep,
@@ -15,10 +17,13 @@ from mp2q.hfdata import EriBlock
 from mp2q.mp2 import block_energy, mp2_energy
 
 
-def synthetic_sweep(x, y, part="S", base=1, q=4):
-    rows = [SweepRow(i, float(np.sqrt(xi)), float(xi), float(yi), float(yi),
-                     probs=np.zeros(1 << (q + 1))) for i, (xi, yi) in enumerate(zip(x, y))]
-    return SweepResult(part, 1.0, base, q, q, estimate.EXACT, rows)
+def synthetic_sweep(x, y, part="S", base=1, q=4, outcomes=None):
+    """An exact-mode sweep with lambda^2 = x and zeta = zeta_signal = y."""
+    x = np.asarray(x, dtype=float)
+    rows = np.rec.fromarrays([np.sqrt(x), x, y, y], dtype=estimate.ROW_FIELDS)
+    if outcomes is None:
+        outcomes = np.zeros((len(x), 2 << q))
+    return SweepResult(part, 1.0, base, q, 0, rows, outcomes)
 
 
 def test_sweep_lambda_zero_row(helium):
@@ -41,7 +46,7 @@ def ratio_table_of(sweep, helium):
 def test_sweep_rows_sorted_and_bounded(helium):
     cfg = SweepConfig(lambda_step=0.05, total_steps=5, start_candidates=2)
     sweep = run_sweep(helium, "I", cfg)
-    assert [r.step for r in sweep.rows] == list(range(7))
+    assert sweep.rows.lam.tolist() == [step * 0.05 for step in range(7)]
     for row in sweep.rows:
         assert 0.0 <= row.zeta <= 1.0
         assert 0.0 <= row.zeta_signal <= row.zeta + 1e-15
@@ -51,8 +56,8 @@ def test_sweep_exact_rises_linearly_then_departs(helium_blocks):
     blk = helium_blocks["IV"]
     cfg = SweepConfig(lambda_step=0.25, total_steps=10, start_candidates=0)
     sweep = run_block_sweep(blk, cfg)
-    x = sweep.lambda_squares()
-    y = np.array([r.zeta_signal for r in sweep.rows])
+    x = sweep.rows.lam_sq
+    y = sweep.rows.zeta_signal
     early = (y[1] - y[0]) / (x[1] - x[0])
     late = (y[-1] - y[-2]) / (x[-1] - x[-2])
     assert early > 0
@@ -76,8 +81,8 @@ def test_sampled_bit_reproducible(helium):
                       start_candidates=0)
     a = run_sweep(helium, "I", cfg)
     b = run_sweep(helium, "I", cfg)
-    for ra, rb in zip(a.rows, b.rows):
-        assert np.array_equal(ra.counts.counts, rb.counts.counts)
+    assert a.outcomes.dtype == np.int64
+    assert np.array_equal(a.outcomes, b.outcomes)
 
 
 def test_fit_exactly_linear_points():
@@ -136,14 +141,12 @@ def test_select_start_tie_breaks_low():
 def test_eri_slopes_noiseless_injection():
     gammas = {3: 0.2, 7: 0.05, 12: 0.11}
     x = np.linspace(0, 0.04, 6)
-    rows = []
-    for i, xi in enumerate(x):
-        probs = np.zeros(16)
+    outcomes = np.zeros((len(x), 16))
+    for probs, xi in zip(outcomes, x):
         for code, g in gammas.items():
             probs[code] = g * g * xi
         probs[1] = 1.0 - probs.sum()
-        rows.append(SweepRow(i, float(np.sqrt(xi)), float(xi), 0.0, 0.0, probs=probs))
-    sweep = SweepResult("S", 1.0, 1, 4, None, estimate.EXACT, rows)
+    sweep = synthetic_sweep(x, np.zeros(len(x)), outcomes=outcomes)
     slopes = estimate_eri_slopes(sweep)
     assert set(slopes) == set(gammas)
     for code, g in gammas.items():
@@ -341,10 +344,10 @@ def circuit_rows(block, config, base):
 def assert_rows_match_circuit(block, config, base=None, tol=1e-12):
     sweep = run_block_sweep(block, config, base_state=base)
     expected = circuit_rows(block, config, sweep.base_state)
-    assert len(sweep.rows) == len(expected)
-    for row, probs in zip(sweep.rows, expected):
-        assert row.probs.shape == probs.shape
-        assert np.max(np.abs(row.probs - probs)) <= tol
+    assert len(sweep.rows) == len(sweep.outcomes) == len(expected)
+    for row, probs in zip(sweep.outcomes, expected):
+        assert row.shape == probs.shape
+        assert np.max(np.abs(row - probs)) <= tol
 
 
 @pytest.mark.parametrize("circuit", ["pipeline", "uint"])
@@ -389,9 +392,9 @@ def test_rows_match_circuit_property(data):
     blk = EriBlock("H", (0, 0), tuple(range(n)), (0,), gamma, dens)
     cfg = SweepConfig(lam, 2, start_candidates=0, circuit=circuit)
     sweep = run_block_sweep(blk, cfg, base_state=base)
-    for row, probs in zip(sweep.rows, circuit_rows(blk, cfg, base)):
-        assert abs(row.probs.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(row.probs - probs)) <= 1e-12
+    for row, probs in zip(sweep.outcomes, circuit_rows(blk, cfg, base)):
+        assert abs(row.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(row - probs)) <= 1e-12
 
 
 def dense_lambda_max(block, target_bias=0.005, cap=0.01):
@@ -487,23 +490,24 @@ def test_shared_streams_draw_what_each_sweep_draws_alone(helium, helium_blocks):
         step, total = estimate.DEFAULT_HELIUM_GRIDS[estimate.SAMPLED][part]
         config = SweepConfig(step, total, shots=5000, seed=11, mode=estimate.SAMPLED,
                              start_candidates=4)
-        alone = run_block_sweep(helium_blocks[part], config, part).rows
-        assert len(detail.sweep.rows) == len(alone)
-        for row, ref in zip(detail.sweep.rows, alone):
-            assert row.counts.counts.tobytes() == ref.counts.counts.tobytes()
-            assert row.counts.seed == ref.counts.seed == statevec.task_seed(11, row.step)
-            assert (row.zeta, row.zeta_signal) == (ref.zeta, ref.zeta_signal)
+        alone = run_block_sweep(helium_blocks[part], config, part)
+        exact = run_block_sweep(helium_blocks[part], replace(config, mode=estimate.EXACT))
+        assert len(detail.sweep.rows) == len(alone.rows)
+        assert detail.sweep.outcomes.tobytes() == alone.outcomes.tobytes()
+        assert detail.sweep.rows.tobytes() == alone.rows.tobytes()
+        # each row draws from the stream of task_seed(11, step)
+        for step, (counts, probs) in enumerate(zip(detail.sweep.outcomes, exact.outcomes)):
+            seed = statevec.task_seed(11, step)
+            assert counts.tobytes() == statevec.sample_counts(probs, 5000, seed).tobytes()
 
 
 def test_step_stream_restarts_where_a_fresh_seeding_starts():
     streams = statevec.StepStreams(4)
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     for step in (2, 0, 2, 2, 0):
-        seed, rng = streams.generator(step)
-        assert seed == statevec.task_seed(4, step)
-        shared = statevec.sample_counts(probs, 777, seed, rng)
-        fresh = statevec.sample_counts(probs, 777, seed)
-        assert shared.counts.tobytes() == fresh.counts.tobytes()
+        shared = statevec.sample_counts(probs, 777, streams.generator(step))
+        fresh = statevec.sample_counts(probs, 777, statevec.task_seed(4, step))
+        assert shared.tobytes() == fresh.tobytes()
 
 
 def test_sweep_rejects_streams_of_another_seed():
@@ -521,7 +525,7 @@ def _one_row_sweep(block, config):
     base = default_base_state(block)
     d, signs = estimate._uint_spectrum(block, base)
     weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
-    rows = []
+    rows = []   # (lam, lam_sq, zeta, zeta_signal, outcomes) per step
     for step in range(config.n_rows()):
         lam = step * config.lambda_step
         psi = builders.fwht(np.exp(1j * lam * d) * signs) / d.size
@@ -531,19 +535,18 @@ def _one_row_sweep(block, config):
         else:
             readout_bit = (d.size - 1).bit_length()
             probs = np.concatenate([register * (1.0 - weights), register * weights])
-        counts = None
-        fractions = probs
+        outcomes = fractions = probs
         if config.mode == estimate.SAMPLED:
-            counts = statevec.sample_counts(probs, config.shots,
-                                            statevec.task_seed(config.seed, step))
-            probs, fractions = None, counts.counts / counts.shots
+            outcomes = statevec.sample_counts(probs, config.shots,
+                                              statevec.task_seed(config.seed, step))
+            fractions = outcomes / config.shots
         idx = np.arange(fractions.size)
         excited = (idx & (d.size - 1)) != base
         hit = excited if readout_bit is None else (idx >> readout_bit) & 1 == 1
         zeta = float(np.cumsum(fractions[hit])[-1])
         zeta_signal = (zeta if readout_bit is None
                        else float(np.cumsum(fractions[hit & excited])[-1]))
-        rows.append(SweepRow(step, lam, lam * lam, zeta, zeta_signal, probs, counts))
+        rows.append((lam, lam * lam, zeta, zeta_signal, outcomes))
     return rows
 
 
@@ -557,17 +560,13 @@ def test_chunked_sweep_matches_one_row_reference(q, mode):
     for circuit in ("pipeline", "uint"):
         config = SweepConfig(0.05, n_rows, shots=1000, seed=q, mode=mode,
                              start_candidates=0, circuit=circuit)
-        rows = run_block_sweep(blk, config).rows
+        sweep = run_block_sweep(blk, config)
         reference = _one_row_sweep(blk, config)
-        assert len(rows) == len(reference) == n_rows
-        for row, ref in zip(rows, reference):
-            assert (row.step, row.lam, row.lam_sq) == (ref.step, ref.lam, ref.lam_sq)
-            assert (row.zeta, row.zeta_signal) == (ref.zeta, ref.zeta_signal)
-            if mode == estimate.EXACT:
-                assert row.probs.tobytes() == ref.probs.tobytes()
-            else:
-                assert row.probs is None
-                assert row.counts.counts.tobytes() == ref.counts.counts.tobytes()
+        assert len(sweep.rows) == len(sweep.outcomes) == len(reference) == n_rows
+        assert sweep.outcomes.dtype == (np.float64 if mode == estimate.EXACT else np.int64)
+        for row, outcomes, ref in zip(sweep.rows, sweep.outcomes, reference):
+            assert (row.lam, row.lam_sq, row.zeta, row.zeta_signal) == ref[:4]
+            assert outcomes.tobytes() == ref[4].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
@@ -590,3 +589,28 @@ def test_wide_block_sweeps_without_angle_solve():
     kappa = ratio_table(blk, sweep.c_e)
     assert sweep.rows[0].zeta == pytest.approx(kappa[sweep.base_state], abs=1e-12)
     assert sweep.rows[1].zeta > sweep.rows[0].zeta
+
+
+@pytest.mark.parametrize("mode", [estimate.EXACT, estimate.SAMPLED])
+def test_sweep_table_columns_and_outcomes(helium_blocks, mode):
+    config = SweepConfig(0.05, 6, shots=3000, seed=5, mode=mode, start_candidates=2)
+    sweep = run_block_sweep(helium_blocks["I"], config, "I")
+    n = config.n_rows()
+    # a record array: len, iteration by attribute, and whole columns
+    assert isinstance(sweep.rows, np.recarray) and len(sweep.rows) == n
+    assert [r.zeta for r in sweep.rows] == sweep.rows.zeta.tolist()
+    assert [r.zeta_signal for r in sweep.rows] == sweep.rows["zeta_signal"].tolist()
+    assert sweep.rows.lam.tolist() == [step * 0.05 for step in range(n)]
+    assert sweep.rows.lam_sq.tolist() == [(step * 0.05) ** 2 for step in range(n)]
+    assert sweep.outcomes.shape == (n, 2 << helium_blocks["I"].n_qubits)
+    exact = run_block_sweep(helium_blocks["I"], replace(config, mode=estimate.EXACT), "I")
+    if mode == estimate.EXACT:
+        assert sweep.outcomes.dtype == np.float64 and sweep.shots == 0
+        assert np.allclose(sweep.outcomes.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    else:
+        assert sweep.outcomes.dtype == np.int64 and sweep.shots == 3000
+        assert sweep.outcomes.sum(axis=1).tolist() == [3000] * n
+        # row `step` draws from the stream of task_seed(seed, step)
+        for step, probs in enumerate(exact.outcomes):
+            expected = statevec.sample_counts(probs, 3000, statevec.task_seed(5, step))
+            assert sweep.outcomes[step].tobytes() == expected.tobytes()

@@ -365,3 +365,39 @@ def test_load_of_a_mutated_helium_document_is_valid_or_a_schema_error(data):
     assert loaded.eri_mo.shape == (n,) * 4
     for values in (loaded.orbital_energies, loaded.mo_coefficients, loaded.eri_mo):
         assert np.all(np.isfinite(values))
+
+
+def _swap_number(data, node, to_bool):
+    """A copy of node with one number in it (drawn from the nested lists)
+    replaced by a bool, or by the same number written as a string."""
+    if isinstance(node, list):
+        i = data.draw(st.integers(0, len(node) - 1))
+        return node[:i] + [_swap_number(data, node[i], to_bool)] + node[i + 1:]
+    return data.draw(st.booleans()) if to_bool else str(node)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_load_rejects_a_string_or_bool_for_a_number(data):
+    # before, float() read "-0.5" as -0.5 and true as 1.0
+    doc = dict(HELIUM_DOC)
+    field = data.draw(st.sampled_from(["orbital_energies", "mo_coefficients",
+                                       "eri_mo", "eri_ao", "sparse"]), label="field")
+    to_bool = data.draw(st.booleans(), label="to_bool")
+    if field == "sparse":
+        dense = np.asarray(HELIUM_DOC["eri_mo"]["data"])
+        entries = [[*map(int, idx), float(dense[idx])] for idx in zip(*np.nonzero(dense))]
+        k = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        entries[k][4] = _swap_number(data, entries[k][4], to_bool)
+        doc["eri_mo"] = {"format": "sparse", "data": entries}
+    elif field in ("eri_mo", "eri_ao"):
+        # one string among the floats of a dense tensor, or every entry a bool;
+        # a single bool among floats still reads as 1.0 there
+        values = HELIUM_DOC[field]["data"]
+        swapped = (np.asarray(values) != 0).tolist() if to_bool else \
+            _swap_number(data, values, to_bool=False)
+        doc[field] = {"format": "dense", "data": swapped}
+    else:
+        doc[field] = _swap_number(data, HELIUM_DOC[field], to_bool)
+    with pytest.raises(SchemaError, match="is not a number"):
+        hfdata.load(json.dumps(doc).encode())

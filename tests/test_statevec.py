@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mp2q import circuits as cg
 from mp2q import statevec
@@ -65,6 +66,37 @@ def test_norm_preserved_random_circuits():
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
+_ANGLES = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def _gates(draw, n):
+    """One gate of any kind on n >= 3 qubits, operands distinct; mcry draws
+    either polarity and at least two controls."""
+    kind = draw(st.sampled_from(sorted(cg.KINDS)))
+    size = {cg.CNOT: 2, cg.SWAP: 2, cg.CRY: 2, cg.TOFFOLI: 3,
+            cg.MCRY: draw(st.integers(3, n)),
+            cg.PAULI_X_EXP: draw(st.integers(1, n))}.get(kind, 1)
+    qubits = tuple(draw(st.permutations(range(n)))[:size])
+    if kind == cg.PAULI_X_EXP:
+        qubits = tuple(sorted(qubits))
+    angle = draw(_ANGLES) if kind in cg.ROTATION_KINDS or kind == cg.PAULI_X_EXP else None
+    polarity = draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL])) \
+        if kind in (cg.CRY, cg.MCRY) else cg.ONE_CONTROL
+    return cg.Gate(kind, qubits, angle, polarity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_norm_preserved_by_every_gate_kind(data):
+    n = data.draw(st.integers(3, 6), label="n")
+    gates = data.draw(st.lists(_gates(n), max_size=30), label="gates")
+    start = data.draw(st.integers(0, (1 << n) - 1), label="start")
+    # apply_circuit raises if the norm drifts by more than 1e-10
+    state = statevec.apply_circuit(statevec.basis_state(n, start), Circuit(n, gates))
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
+
+
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(3)
     circ = _random_circuit(rng, 5, 30)
@@ -91,32 +123,32 @@ def test_qubit_cap():
 
 def test_sample_deterministic_counts():
     state = statevec.run_circuit(Circuit(1, []))
-    table = statevec.sample_counts(statevec.probabilities(state), 100, seed=1)
-    assert table.counts.dtype == np.int64
-    assert table.counts.tolist() == [100, 0]
+    counts = statevec.sample_counts(statevec.probabilities(state), 100, seed=1)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [100, 0]
 
 
 def test_sample_reproducible():
     state = statevec.run_circuit(Circuit(3, [cg.h(0), cg.h(1), cg.cnot(0, 2)]))
     t1 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=42)
     t2 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=42)
-    assert np.array_equal(t1.counts, t2.counts)
+    assert np.array_equal(t1, t2)
     t3 = statevec.sample_counts(statevec.probabilities(state), 5000, seed=43)
-    assert not np.array_equal(t3.counts, t1.counts)
+    assert not np.array_equal(t3, t1)
 
 
 def test_sample_binomial_bound():
     state = statevec.run_circuit(Circuit(1, [cg.h(0)]))
     shots = 100_000
-    table = statevec.sample_counts(statevec.probabilities(state), shots, seed=9)
-    dev = abs(table.counts[0] - shots / 2)
+    counts = statevec.sample_counts(statevec.probabilities(state), shots, seed=9)
+    dev = abs(counts[0] - shots / 2)
     assert dev <= 3 * np.sqrt(shots * 0.25)
 
 
 def test_sample_counts_sum_invariant():
     state = statevec.run_circuit(Circuit(2, [cg.h(0), cg.ry(0.7, 1)]))
-    table = statevec.sample_counts(statevec.probabilities(state), 12345, seed=5)
-    assert table.counts.sum() == 12345
+    counts = statevec.sample_counts(statevec.probabilities(state), 12345, seed=5)
+    assert counts.sum() == 12345
 
 
 def test_sample_frequency_convergence_many_seeds():
@@ -126,11 +158,11 @@ def test_sample_frequency_convergence_many_seeds():
     probs = statevec.probabilities(state)
     shots = 20_000
     for seed in range(50):
-        table = statevec.sample_counts(probs, shots, seed=seed)
+        counts = statevec.sample_counts(probs, shots, seed=seed)
         for idx, p in enumerate(probs):
             if p < 1e-12:
                 continue
-            freq = table.counts[idx] / shots
+            freq = counts[idx] / shots
             bound = 5 * np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) <= bound
 
