@@ -5,6 +5,7 @@ difference circuit, and the full sweep pipeline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,23 +88,26 @@ def default_c_e(block: EriBlock) -> float:
     return float(finite.min())
 
 
-def ratio_table(block: EriBlock, c_e: float) -> np.ndarray:
-    """kappa[x] = C_e / |denominator_x| (0 on padded slots)."""
+def ratio_table(block: EriBlock, c_e: float | None = None) -> np.ndarray:
+    """kappa[x] = C_e / |denominator_x| in [0, 1] (0 on padded slots; C_e defaults
+    to default_c_e): the probability that U_E^sqrt sets the readout for input x."""
+    c_e = default_c_e(block) if c_e is None else c_e
     dens = block.denominators
     if np.any(dens == 0.0):
         raise NumericalError("zero denominator in block")
     kappa = np.where(np.isfinite(dens), c_e / np.abs(dens), 0.0)
-    return kappa
+    if np.any(kappa > 1.0 + 1e-12):
+        raise NumericalError(f"C_e/|denominator| above 1: max {kappa.max():.6g}")
+    return np.clip(kappa, 0.0, 1.0)
 
 
 def _targets(kappa: np.ndarray, variant: str) -> np.ndarray:
-    if np.any(kappa > 1.0 + 1e-12):
-        raise NumericalError(f"C_e/|denominator| above 1: max {kappa.max():.6g}")
-    kappa = np.clip(kappa, 0.0, 1.0)
+    """Angle T per input with sin^2(T/2) = kappa (SQRT) or sin(T/2) = kappa (VALUE),
+    from libm: numpy's arccos and arcsin round differently per SIMD level."""
     if variant == SQRT:
-        return np.arccos(1.0 - 2.0 * kappa)
+        return np.array([math.acos(c) for c in (1.0 - 2.0 * kappa).tolist()])
     if variant == VALUE:
-        return 2.0 * np.arcsin(kappa)
+        return np.array([2.0 * math.asin(k) for k in kappa.tolist()])
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -165,8 +169,6 @@ def build_ue(angles: AngleTable, register: list[int] | None = None,
 def build_ue_naive(block: EriBlock, variant: str = SQRT, c_e: float | None = None,
                    register: list[int] | None = None, readout: int | None = None) -> Circuit:
     """U'_E: one full-pattern C^Q Ry per block entry, angle = the whole target."""
-    if c_e is None:
-        c_e = default_c_e(block)
     targets = _targets(ratio_table(block, c_e), variant)
     q = block.n_qubits
     if register is None:

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SchemaError, json_int, json_number
+from .errors import SchemaError, json_int, json_list, json_number
 
 # gate kinds
 X = "x"
@@ -178,11 +178,14 @@ class Circuit:
     def from_dict(cls, d: dict, source: str = "circuit") -> "Circuit":
         """The circuit of a to_dict document; a count, operand, polarity or angle of
         the wrong JSON type is a SchemaError naming `source`, the gate and the field."""
-        circ = cls(json_int(d["n_qubits"], f"{source}: n_qubits"))
-        for i, g in enumerate(d["gates"]):
+        gates = json_list(d, "gates", source)
+        circ = cls(json_int(d.get("n_qubits"), f"{source}: n_qubits"))
+        for i, g in enumerate(gates):
             where = f"{source}: gate {i}"
-            if not isinstance(g, dict) or not isinstance(g.get("qubits"), list):
-                raise SchemaError(f"{where}: expected an object with a 'qubits' list")
+            if not (isinstance(g, dict) and isinstance(g.get("qubits"), list)
+                    and isinstance(g.get("kind"), str)):
+                raise SchemaError(f"{where}: expected an object with a 'qubits' list "
+                                  f"and a 'kind' string")
             angle = g.get("angle")
             circ.add(Gate(g["kind"], tuple(json_int(q, f"{where} qubits") for q in g["qubits"]),
                           None if angle is None else json_number(angle, f"{where} angle"),

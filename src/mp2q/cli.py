@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, estimate, hfdata, lowering, mp2
 from .circuits import Circuit
 from .coupling import CouplingMap, named_map, pack_parallel_ue
-from .errors import LoweringError, NumericalError, SchemaError, json_int
+from .errors import LoweringError, NumericalError, SchemaError, json_int, json_number
 
 
 def _fmt(x: float) -> str:
@@ -89,15 +89,6 @@ def _parts(args, config) -> list[str]:
     return parts
 
 
-def _as_float(value, where: str) -> float:
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise SchemaError(f"{where}: {value!r} is not a float")
-
-
 def _as_int(value, where: str) -> int:
     """A positive JSON integer (`json_int`)."""
     if json_int(value, where) < 1:
@@ -105,7 +96,7 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _per_part(config, key, default, parts, parse=_as_float) -> dict:
+def _per_part(config, key, default, parts, parse=json_number) -> dict:
     """One value per part from config[key]: a scalar for every part, or an
     object with an entry for each part."""
     value = config.get(key, default)

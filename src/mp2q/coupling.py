@@ -14,7 +14,7 @@ from functools import cached_property
 from importlib import resources
 
 from .circuits import NATIVE_KINDS, Circuit
-from .errors import SchemaError, json_int
+from .errors import SchemaError, json_int, json_list
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ class CouplingMap:
         """The map of a to_dict document; a qubit count or edge end that is not a
         JSON integer is a SchemaError naming `source` and the field or edge."""
         edges = []
-        for i, edge in enumerate(d["edges"]):
+        for i, edge in enumerate(json_list(d, "edges", source)):
             where = f"{source}: edge {i}"
             if not isinstance(edge, list) or len(edge) != 2:
                 raise SchemaError(f"{where}: {edge!r} is not a pair of qubits")
             edges.append(tuple(json_int(q, where) for q in edge))
-        return cls.from_edges(json_int(d["n_qubits"], f"{source}: n_qubits"), edges,
+        return cls.from_edges(json_int(d.get("n_qubits"), f"{source}: n_qubits"), edges,
                               d.get("name", ""))
 
     @classmethod

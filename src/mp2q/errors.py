@@ -26,3 +26,12 @@ def json_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: {value!r} is not a number")
     return float(value)
+
+
+def json_list(doc, key: str, source: str) -> list:
+    """doc[key] if `doc` is a JSON object and that entry a list."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    if not isinstance(doc.get(key), list):
+        raise SchemaError(f"{source}: {key}: expected a list, got {doc.get(key)!r}")
+    return doc[key]

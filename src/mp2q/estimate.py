@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .builders import SQRT, _targets, default_base_state, default_c_e, fwht, ratio_table
+from .builders import default_base_state, default_c_e, fwht, ratio_table
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
@@ -155,13 +155,12 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     elif streams.base_seed != config.seed:
         raise ValueError(f"streams of seed {streams.base_seed} for a sweep of seed {config.seed}")
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
-    targets = _targets(ratio_table(block, c_e), SQRT)
+    kappa = ratio_table(block, c_e)
     base = default_base_state(block) if base_state is None else base_state
     spectrum = _uint_spectrum(block, base)
-    # U_E rotates the readout of register input x by the target angle T_x
-    weights = np.sin(targets / 2) ** 2
-    split = (np.ones((1, weights.size)) if config.circuit == "uint"
-             else np.stack([1.0 - weights, weights]))
+    # U_E sets the readout of register input x with probability kappa[x]
+    split = (np.ones((1, kappa.size)) if config.circuit == "uint"
+             else np.stack([1.0 - kappa, kappa]))
     lams = [step * config.lambda_step for step in range(config.n_rows())]
     # only rows before the first bad lambda are transformed
     n_good = next((s for s, lam in enumerate(lams) if not 0.0 <= lam < np.inf), len(lams))
@@ -343,19 +342,17 @@ def ue_response_tables(block: EriBlock, c_e: float | None = None,
     the synthetic error model is applied when diag_error=(delta0, delta1) is
     given.
 
-    U_E turns the readout of input x by T_x, so input x reads x with weight
-    cos^2(T_x/2) and x | 2^Q with weight sin^2(T_x/2); no circuit is simulated
-    (`builders.build_ue` is the test oracle). With shots=None the tables hold
-    exact expected weights (shots = 1)."""
-    if c_e is None:
-        c_e = default_c_e(block)
-    half = _targets(ratio_table(block, c_e), SQRT) / 2
+    U_E sets the readout of input x with probability kappa_x = C_e/|den_x|, so
+    input x reads x with weight 1 - kappa_x and x | 2^Q with weight kappa_x; no
+    circuit is simulated (`builders.build_ue` is the test oracle). With
+    shots=None the tables hold exact expected weights (shots = 1)."""
+    kappa = ratio_table(block, c_e)
     q = block.n_qubits
     tables = {}
     for x in range(1 << q):
         probs = np.zeros(2 << q)
-        probs[x] = np.cos(half[x]) ** 2
-        probs[x | (1 << q)] = np.sin(half[x]) ** 2
+        probs[x] = 1.0 - kappa[x]
+        probs[x | (1 << q)] = kappa[x]
         if diag_error is not None:
             probs = apply_diagonal_error(probs, diag_error[0], diag_error[1], q)
         tables[x] = probs * (shots if shots is not None else 1.0)
@@ -371,8 +368,6 @@ def auto_lambda_max(block: EriBlock, c_e: float | None = None,
     never exceeds cap. Column y of V^k is fwht(d^k)[x ^ y] / 2^Q for the
     Hadamard-basis eigenvalues d of V, the generator with
     exp(i*lambda*V)|y> = U_INT(lambda)|0>."""
-    if c_e is None:
-        c_e = default_c_e(block)
     kappa = ratio_table(block, c_e)
     y = default_base_state(block)
     d, _ = _uint_spectrum(block, y)

@@ -138,6 +138,26 @@ def test_solve_angles_zero_polarity_round_trip():
     assert np.max(np.abs(table.targets - targets)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ue_sets_the_readout_with_probability_kappa(data):
+    # the sweep and ue_response_tables read kappa as U_E's readout-1
+    # probability instead of simulating U_E
+    q = data.draw(st.integers(1, 5), label="q")
+    n = 1 << q
+    dens = -np.array(data.draw(st.lists(st.floats(0.1, 10.0) | st.just(np.inf),
+                                        min_size=n, max_size=n), label="denominators"))
+    dens[data.draw(st.integers(0, n - 1), label="finite slot")] = -1.0
+    blk = EriBlock("E", (0, 0), tuple(range(n)), (0,), np.zeros(n), dens)
+    c_e = data.draw(st.floats(0.0, 1.0), label="c_e / default") * default_c_e(blk)
+    polarity = data.draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL]), label="polarity")
+    circ = build_ue(solve_angles(blk, c_e=c_e, polarity=polarity))
+    kappa = ratio_table(blk, c_e)
+    for x in range(n):
+        state = statevec.apply_circuit(statevec.basis_state(q + 1, x), circ)
+        assert abs(statevec.marginal_probability(state, q) - kappa[x]) <= 1e-12
+
+
 def test_solve_angles_rejects_zero_denominator():
     blk = EriBlock("z", (0, 0), (1,), (1, 2), np.array([0.1, 0.0]),
                    np.array([-1.0, 0.0]))

@@ -172,10 +172,13 @@ def test_pipeline_rejects_bad_parts(tmp_path, capsys, helium_path, parts, messag
     ({"total_steps": {"III": 12}}, "config key 'total_steps' has no entry for part 'I'"),
     ({"c_e": {"I": 0.5}}, "config key 'c_e' has no entry for part 'III'"),
     ({"lambda_step": {"I": "wide", "III": 0.03}},
-     "config key 'lambda_step', part 'I': 'wide' is not a float"),
+     "config key 'lambda_step', part 'I': 'wide' is not a number"),
     ({"parts": "I"}, "parts must be a list"),
     ({"parts": ["I", "I"]}, "part 'I' named twice"),
-    ({"lambda_step": True}, "config key 'lambda_step', part 'I': True is not a float"),
+    ({"lambda_step": True}, "config key 'lambda_step', part 'I': True is not a number"),
+    ({"lambda_step": "0.04", "parts": ["I"]},
+     "config key 'lambda_step', part 'I': '0.04' is not a number"),
+    ({"c_e": "0.5", "parts": ["I"]}, "config key 'c_e', part 'I': '0.5' is not a number"),
 ])
 def test_pipeline_rejects_bad_per_part_config(tmp_path, capsys, helium_path,
                                                 config, message):
@@ -232,8 +235,11 @@ def test_pipeline_sampled_reproducible(tmp_path, helium_path, capsys):
 # slopes, intercepts and LSEs change in their last digits (E2 does not).
 # Sampled mode: numpy's multinomial is not continuous in p, so those ~1e-15
 # changes redraw the counts (seed 7: E2 error -0.70% -> -1.33%).
+# Since then the exact sweep.csv digest moved once more, when the U_E readout
+# weights became kappa = C_e/|den| instead of sin^2(arccos(1 - 2 kappa)/2):
+# the last bits of some probabilities changed, fits.json did not.
 PINNED_DIGESTS = {
-    "exact": ("a8516d75ae9d231564e989cbf8a1782f5a795bad0b166a21da2a6654a76232de",
+    "exact": ("519f80c4f380455131c085c21647c102488a39c2da99f519522878da32b499ce",
               "67b7e0a6f4529c66849ade69c163f9b4d5450564f7117ad1c9abddd7bd622ad0"),
     "sampled": ("928a1c3bb0d3009fd4a1c1e2aa5b23a976a3301ce6b9b99af8b976e6fd88a61b",
                 "2b74710a5939a80c8653b59d060ec82729cbffc8373f4420a4bf6939b63bce95"),
@@ -253,7 +259,8 @@ def test_pipeline_outputs_pinned(tmp_path, capsys, helium_path, mode):
 # SHA-256 of sweep.csv and fits.json for more runs, recorded while sweep.csv
 # was still written by csv.writer one outcome at a time and every sweep row
 # had its own transform: other seeds, the published grids (whose small
-# probabilities print in exponent form) and single-part runs.
+# probabilities print in exponent form) and single-part runs. The exact
+# sweep.csv digests moved when the U_E readout weights became kappa.
 PINNED_RUN_DIGESTS = {
     "sampled-seed0": (["--mode", "sampled", "--seed", "0"],
                       "5cf262de2e931a19ece1d959f3e35887cb673ed3034d3a1b2cc8b1699f7163f3",
@@ -262,10 +269,10 @@ PINNED_RUN_DIGESTS = {
                       "e09bc7ca81dcf908fab56b84091e950248772583a24f0dbf9e0e68f8ff00cc72",
                       "8de21deceac1c2e9dc57bb924c15d2aabd7e79ed9d21165d3f8f3b7aee592664"),
     "exact-paper-grids": (["--mode", "exact"],
-                          "746db201a61776cd829400ae0fe2b155a838ece54945f01b1b0e49538b9df161",
+                          "d280b62ce91bde7cbb9b607905b33028ef46edf38c2f2a5b530a0b17769bccbe",
                           "bf12ee7a470aa0f07b4de92c2dc0cffc16ca4bce3665945d7a633821bb38cfb9"),
     "exact-part-IV": (["--mode", "exact", "--parts", "IV"],
-                      "c0b129adc0ad4b5cd28142bab27932b3b969759d09b5ffd7706f80252e2cf4f5",
+                      "927b4275cdd1df4094a33066e33a56f8596dc6873f0a8860a8107c4ae301560e",
                       "ec68bce629726b18263ae3f2e7c27d8b42b67093a79f546b1ad262bed2a34c4c"),
     "sampled-part-IV-seed1": (["--mode", "sampled", "--parts", "IV", "--seed", "1"],
                               "d7af98e238f8cf774b509da80204cdc7ee1f21907f26bb505dbb06fdcd8cdbf7",
@@ -647,6 +654,7 @@ def test_lower_rejects_malformed_layout(tmp_path, capsys, layout, reason):
 _CIRCUIT = {"n_qubits": 2, "gates": [{"kind": "h", "qubits": [0]},
                                      {"kind": "ry", "qubits": [1], "angle": 0.5}]}
 _COUPLING = {"name": "pair", "n_qubits": 2, "edges": [[0, 1]]}
+_MISSING = "(field removed)"
 
 
 @pytest.mark.parametrize("doc, field, value, reason", [
@@ -659,15 +667,32 @@ _COUPLING = {"name": "pair", "n_qubits": 2, "edges": [[0, 1]]}
     ("coupling", ["n_qubits"], "2", "n_qubits: '2' is not an integer"),
     ("coupling", ["edges", 0, 1], 1.0, "edge 0: 1.0 is not an integer"),
     ("coupling", ["edges", 0], [0], "edge 0: [0] is not a pair of qubits"),
+    ("circuit", [], [1, 2], "expected a JSON object, got list"),
+    ("circuit", ["gates"], 5, "gates: expected a list, got 5"),
+    ("circuit", ["gates"], _MISSING, "gates: expected a list, got None"),
+    ("circuit", ["n_qubits"], _MISSING, "n_qubits: None is not an integer"),
+    ("circuit", ["gates", 0, "kind"], ["x"],
+     "gate 0: expected an object with a 'qubits' list and a 'kind' string"),
+    ("coupling", [], [], "expected a JSON object, got list"),
+    ("coupling", ["edges"], 5, "edges: expected a list, got 5"),
+    ("coupling", ["edges"], _MISSING, "edges: expected a list, got None"),
+    ("coupling", ["n_qubits"], _MISSING, "n_qubits: None is not an integer"),
 ])
 def test_lower_rejects_malformed_json(tmp_path, capsys, doc, field, value, reason):
     # before, these were truncated to integers or ended in a TypeError traceback
+    # (or, for a missing field, printed only its name)
     docs = {"circuit": json.loads(json.dumps(_CIRCUIT)),
             "coupling": json.loads(json.dumps(_COUPLING))}
-    node = docs[doc]
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
+    if not field:
+        docs[doc] = value
+    else:
+        node = docs[doc]
+        for key in field[:-1]:
+            node = node[key]
+        if value is _MISSING:
+            del node[field[-1]]
+        else:
+            node[field[-1]] = value
     paths = {name: tmp_path / f"{name}.json" for name in docs}
     for name, path in paths.items():
         path.write_text(json.dumps(docs[name]))

@@ -423,6 +423,13 @@ def test_auto_lambda_max_matches_dense_generator(helium_blocks):
         assert got == pytest.approx(dense_lambda_max(blk), rel=1e-12, abs=0)
 
 
+def test_auto_lambda_max_rejects_a_c_e_above_a_denominator(helium_blocks):
+    # ratio_table checks kappa <= 1 for every caller, as a sweep with this c_e does
+    blk = helium_blocks["IV"]
+    with pytest.raises(NumericalError, match=r"C_e/\|denominator\| above 1"):
+        estimate.auto_lambda_max(blk, c_e=10 * default_c_e(blk))
+
+
 def test_sweep_rejects_non_finite_gamma():
     rng = np.random.default_rng(8)
     blk = random_block(rng, zero_at=0)
@@ -520,11 +527,11 @@ def test_sweep_rejects_streams_of_another_seed():
 def _one_row_sweep(block, config):
     """The sweep one row at a time, each row its own 1-D transform: the
     reference that the chunked sweep must match bit for bit."""
-    c_e = default_c_e(block) if config.c_e is None else config.c_e
-    targets = builders._targets(ratio_table(block, c_e), builders.SQRT)
+    kappa = ratio_table(block, config.c_e)
     base = default_base_state(block)
     d, signs = estimate._uint_spectrum(block, base)
-    weights = None if config.circuit == "uint" else np.sin(targets / 2) ** 2
+    # U_E sets the readout of input x with probability kappa[x]
+    weights = None if config.circuit == "uint" else kappa
     rows = []   # (lam, lam_sq, zeta, zeta_signal, outcomes) per step
     for step in range(config.n_rows()):
         lam = step * config.lambda_step

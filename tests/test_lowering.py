@@ -216,11 +216,14 @@ def test_lower_full_pipeline_semantics_preserved(helium_blocks):
 # CNOTs per part, V-chains -> multiplexor: ue on complete-7 100 -> 16, on
 # h-shape-7 144 -> 48, on h-shape-9 192 -> 80; pipeline on complete-7
 # 108 -> 24; Q5 ue on complete-10 298 -> 32. The U_INT digests did not change.
+# The U_E angles now come from libm's acos, not numpy's SIMD arccos, so the
+# bytes are the same on every CPU; ten U_E and pipeline digests moved to what
+# numpy's baseline (non-AVX-512) kernels gave before.
 PINNED_LOWERED = {
-    "I.pipeline.complete-7": "f51c6739966295b185f4591585115eaec9bb01335c50affe992717ac8c47a1d7",
-    "I.ue.complete-7": "ed99ecb8066bb4b036f718e0fe5690f4b1570ebac8be044ec0834b1ac6bb24d4",
-    "I.ue.h-shape-7": "63fbde533dbd93583c762b6568bad746bf3567ee0a327074185ef575a0ab71cb",
-    "I.ue.h-shape-9": "05ee074a1723572b1f8fad69fcceb3282bfb5fe8d3e0bf982bce0a45628a1961",
+    "I.pipeline.complete-7": "170c6733c9bded309f92b8cc35d487d0582e08910f297e4f0659e7282eca9b72",
+    "I.ue.complete-7": "a6bed3960e9bad566643d5e62becc6f4c0a92dab00921f51dff5a9c4f2ffdd18",
+    "I.ue.h-shape-7": "cd81108652b446f0024c2c10e8aabf0962a53372867456efe862ae52dee63a29",
+    "I.ue.h-shape-9": "5f087f27b454eef64a9cb84d5da9a232b7ff20a20c4c4a6805c5d351c5ec61a7",
     "I.uint.complete-5": "e5502eaecb5669a3074bfba34dfd312718baf6a6e699d03fbe57e5d041a588c1",
     "I.uint.complete-7": "4469c568c09fdc3aff4c791ecce84922e1343efae3c3bf22290bc8aec13ce7c8",
     "I.uint.grid-2x4": "d30d5c06c621d300db7b095985a4becdc439616b88db9c3bf8f5c7c032f37ba7",
@@ -235,16 +238,16 @@ PINNED_LOWERED = {
     "III.uint.grid-2x4": "8ba707694d58dfb9d037c5a74f1e2b171498c295054a4acb1e0cd721ecd9412a",
     "III.uint.ibm-27-heavy-hex": "9e7338403a9d7396529169246b3dd6822b863bd644b3d577639c15dfd12b06a5",
     "III.uint.path-5": "d7d982909a812de3721ebb42f8aed02d33a059dd620fd1c4ca2ea362c0efaa13",
-    "IV.pipeline.complete-7": "118cf26f47c863424a5c83913ff2733122f6755efa651c0641b329c2db3dc2f2",
-    "IV.ue.complete-7": "076508b5d168c04130531db920dca4be92659a87bd763a00c9279a0db6405faa",
-    "IV.ue.h-shape-7": "50985ecc5e2a4b064f8a017270de2fe2795e85f759dd37c4a60fc457d44800ee",
-    "IV.ue.h-shape-9": "fe4aa3949726486892e1e4c3002f71022f9ac5ea4bfdbd5a100822026732d3e4",
+    "IV.pipeline.complete-7": "9bfc91aca360c4a74d6b641e6620287cb0890a3eb4367eda3bd01e787a4fdaeb",
+    "IV.ue.complete-7": "6de84d764e710c3e40ec9a9cd1a029c13e07242d21bd62c0f3a2e5e1892160fd",
+    "IV.ue.h-shape-7": "695a28d63cb6edbd04b10e44a31b42c834f84d171d86c3142f4e13043769910b",
+    "IV.ue.h-shape-9": "240b689a1bbf2f86fc0d0612c63b7f677a678c4719fcca65fff897be6a3265f0",
     "IV.uint.complete-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
     "IV.uint.complete-7": "d4756f28c0ed4147137e04821b93c036ec65259d459f86f2cb216bf08d82f315",
     "IV.uint.grid-2x4": "6872ab310529c60239ddc2097f9f83252506170ef3b4a193bc7a2137cf7a7b4f",
     "IV.uint.ibm-27-heavy-hex": "332dbc48cf39510377c220141c36093a42104bff14589fa5117ebb6a8c9597a0",
     "IV.uint.path-5": "597286c6d096f3c0403f4c83c95ac3ba66afa8e5e80256063c8bc47b99f326ed",
-    "Q5.ue.complete-10": "10a89a35278bec1637c21a44e5b2ea642c144fd2326cc69bd0bc11e213c533d8",
+    "Q5.ue.complete-10": "f919b48d88513e6bb528f35ba92313466fe853c93414d2b91ca4b4451981604d",
 }
 
 
@@ -355,7 +358,8 @@ def test_lone_gate_without_ancillas_lowers_as_multiplexor():
 # SHA-256 of Circuit.to_json() for circuits whose controlled Ry gates each
 # stand alone, recorded with the V-chain planner before runs became
 # multiplexors: their lowering must not change, on complete-7 either, where a
-# multiplexor would take 16 CNOTs instead of 20
+# multiplexor would take 16 CNOTs instead of 20. naive.I moved with the U_E
+# angles to libm's acos (see PINNED_LOWERED).
 PINNED_LONE = {
     "c1ry": "70728bc31f4babab93b2b0a2b21a85a08035d97356d21ae7ad09669636d49434",
     "c2ry.01": "15491b4a4e54d7fec11db3ec599082d5b0a7ca56bb1903f5bb7c5c291631feac",
@@ -364,7 +368,7 @@ PINNED_LONE = {
     "c4ry": "8dbfc8db302d3b9f5f01f6ba995b6815a4795f1c5061edc4d44a07f9e5bff911",
     "c4ry-zero-and-ry.complete-7":
         "2aaf5be6b443778852237bb0db49b4a8387881bd0a329bc61f4db7662dfa0087",
-    "naive.I": "ca4c8b1636b0bd9ff13e6381de705175583ccf2313e444ea87fe3f6af58abd71",
+    "naive.I": "b13e252ba9a1a8c5033eadc96ba06a1c3315789b3329d944450622320a75c708",
 }
 LONE_GATES = {
     "c1ry": [cg.mcry(1.37, [0], 4)],
