@@ -19,45 +19,42 @@ VALUE = "value"
 SQRT = "sqrt"
 
 
-def _bit_pairs(values, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A copy of values as dtype, and for each bit b a (..., 2^(q-b-1), 2, 2^b)
-    view of it whose second-last axis pairs every index of the last axis
-    without bit b with its partner. Leading axes are a batch: the transforms
-    below act on each 1-D slice along the last axis."""
-    a = np.array(values, dtype=dtype)
-    n = a.shape[-1]
+def _butterflies(values, dtype, pair) -> np.ndarray:
+    """A copy of values as dtype, transformed along the last axis (leading axes
+    are a batch) by one butterfly per bit, bit 0 first. Each pass reads the
+    low-bit partners lo = x[..., 0::2], hi = x[..., 1::2], and pair(lo, hi, a, b)
+    writes its two results into the halves a, b of a second buffer, so the next
+    bit becomes the low bit and the last pass ends in natural order (Pease's
+    constant geometry: each element sees the operands of the in-place kernel)."""
+    x = np.array(values, dtype=dtype)
+    n = x.shape[-1]
     q = (n - 1).bit_length()
     if n != 1 << q:
         raise ValueError("length must be a power of two")
-    return a, [a.reshape(*a.shape[:-1], n >> (b + 1), 2, 1 << b) for b in range(q)]
+    y = np.empty_like(x)
+    for _ in range(q):
+        pair(x[..., 0::2], x[..., 1::2], y[..., :n >> 1], y[..., n >> 1:])
+        x, y = y, x
+    return x
 
 
 def subset_zeta(values: np.ndarray) -> np.ndarray:
     """out[x] = sum over submasks m of x of values[m], along the last axis."""
-    a, pairs = _bit_pairs(values, float)
-    for v in pairs:
-        v[..., 1, :] += v[..., 0, :]
-    return a
+    return _butterflies(values, float, lambda lo, hi, a, b: (np.copyto(a, lo), np.add(hi, lo, b)))
 
 
 def subset_moebius(values: np.ndarray) -> np.ndarray:
     """Inverse of subset_zeta over the bitwise-subset lattice."""
-    a, pairs = _bit_pairs(values, float)
-    for v in pairs:
-        v[..., 1, :] -= v[..., 0, :]
-    return a
+    return _butterflies(values, float,
+                        lambda lo, hi, a, b: (np.copyto(a, lo), np.subtract(hi, lo, b)))
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis: out[k] =
     sum over m of (-1)^popcount(k & m) values[m]. Applied twice it multiplies
     by the length."""
-    a, pairs = _bit_pairs(values, complex if np.iscomplexobj(values) else float)
-    for v in pairs:
-        lo = v[..., 0, :].copy()
-        v[..., 0, :] += v[..., 1, :]
-        v[..., 1, :] = lo - v[..., 1, :]
-    return a
+    return _butterflies(values, complex if np.iscomplexobj(values) else float,
+                        lambda lo, hi, a, b: (np.add(lo, hi, a), np.subtract(lo, hi, b)))
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,8 @@ def ratio_table(block: EriBlock, c_e: float | None = None) -> np.ndarray:
     dens = block.denominators
     if np.any(dens == 0.0):
         raise NumericalError("zero denominator in block")
+    if not (math.isfinite(c_e) and c_e > 0.0):
+        raise NumericalError(f"C_e must be finite and above 0, got {c_e:.6g}")
     kappa = np.where(np.isfinite(dens), c_e / np.abs(dens), 0.0)
     if np.any(kappa > 1.0 + 1e-12):
         raise NumericalError(f"C_e/|denominator| above 1: max {kappa.max():.6g}")

@@ -25,7 +25,11 @@ def json_number(value, where: str) -> float:
     """`value` as a float if it is a JSON number, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: an integer of {len(str(abs(value)))} digits "
+                          "is out of a double's range") from None
 
 
 def json_list(doc, key: str, source: str) -> list:

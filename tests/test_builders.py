@@ -80,6 +80,93 @@ def test_transforms_of_a_batch_are_the_transforms_of_its_rows(batch):
             assert row_out.tobytes() == transform(row).tobytes()
 
 
+def _reference_bit_pairs(values, dtype):
+    """The in-place kernel the transforms replaced: per bit b, a
+    (..., 2^(q-b-1), 2, 2^b) view pairing each index without bit b with its
+    partner."""
+    a = np.array(values, dtype=dtype)
+    n = a.shape[-1]
+    q = (n - 1).bit_length()
+    if n != 1 << q:
+        raise ValueError("length must be a power of two")
+    return a, [a.reshape(*a.shape[:-1], n >> (b + 1), 2, 1 << b) for b in range(q)]
+
+
+def _reference_subset_zeta(values):
+    a, pairs = _reference_bit_pairs(values, float)
+    for v in pairs:
+        v[..., 1, :] += v[..., 0, :]
+    return a
+
+
+def _reference_subset_moebius(values):
+    a, pairs = _reference_bit_pairs(values, float)
+    for v in pairs:
+        v[..., 1, :] -= v[..., 0, :]
+    return a
+
+
+def _reference_fwht(values):
+    a, pairs = _reference_bit_pairs(values, complex if np.iscomplexobj(values) else float)
+    for v in pairs:
+        lo = v[..., 0, :].copy()
+        v[..., 0, :] += v[..., 1, :]
+        v[..., 1, :] = lo - v[..., 1, :]
+    return a
+
+
+# +-0, the smallest subnormal, the smallest normal and values near the top of
+# the float range, so that sums underflow, overflow to +-inf and reach NaN
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def _edge_batches(draw):
+    q = draw(st.integers(0, 12))
+    batch = draw(st.sampled_from([(), (3,), (2, 2)]))
+    dtype = draw(st.sampled_from([float, complex]))
+    # how often each kind of value appears: edge values, subnormals, values
+    # near 1e308 and ordinary ones
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                            .filter(any)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (*batch, 1 << q, 2 if dtype is complex else 1)
+    kinds = [_EDGE_VALUES[rng.integers(0, _EDGE_VALUES.size, shape)],
+             rng.uniform(-1.0, 1.0, shape) * 2.2e-308,
+             rng.uniform(-1.0, 1.0, shape) * 1e308,
+             rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, shape)]
+    values = np.choose(rng.choice(4, shape, p=weights / weights.sum()), kinds)
+    return values.view(complex)[..., 0] if dtype is complex else values[..., 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_batches())
+def test_transforms_are_bit_identical_to_the_in_place_kernel(values):
+    # the constant-geometry passes apply each butterfly to the same operands in
+    # the same bit order as the in-place kernel, so only the layout between
+    # passes differs: bytes agree wherever the reference is not NaN
+    pairs = [(fwht, _reference_fwht)]
+    if not np.iscomplexobj(values):
+        pairs += [(subset_zeta, _reference_subset_zeta),
+                  (subset_moebius, _reference_subset_moebius)]
+    for transform, reference in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, ref = transform(values), reference(values)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        out, ref = out.view(float), ref.view(float)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@pytest.mark.parametrize("transform", [fwht, subset_zeta, subset_moebius])
+@pytest.mark.parametrize("n", [0, 3, 6])
+def test_transforms_reject_lengths_that_are_not_powers_of_two(transform, n):
+    with pytest.raises(ValueError, match="power of two"):
+        transform(np.zeros(n))
+
+
 def test_solve_angles_one_bit():
     a, b = 0.3, 1.1
     table = angles_from_targets(np.array([a, b]), 1.0, builders.SQRT)
@@ -149,7 +236,8 @@ def test_ue_sets_the_readout_with_probability_kappa(data):
                                         min_size=n, max_size=n), label="denominators"))
     dens[data.draw(st.integers(0, n - 1), label="finite slot")] = -1.0
     blk = EriBlock("E", (0, 0), tuple(range(n)), (0,), np.zeros(n), dens)
-    c_e = data.draw(st.floats(0.0, 1.0), label="c_e / default") * default_c_e(blk)
+    # ratio_table rejects a C_e of 0, so the ratio starts above underflow
+    c_e = data.draw(st.floats(1e-300, 1.0), label="c_e / default") * default_c_e(blk)
     polarity = data.draw(st.sampled_from([cg.ZERO_CONTROL, cg.ONE_CONTROL]), label="polarity")
     circ = build_ue(solve_angles(blk, c_e=c_e, polarity=polarity))
     kappa = ratio_table(blk, c_e)

@@ -116,6 +116,21 @@ def test_pipeline_overlarge_c_e_exits_3(tmp_path, capsys, helium_path):
     assert "numerical error: C_e/|denominator| above 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_e, shown", [(0, "0"), (-0.5, "-0.5")])
+def test_pipeline_c_e_not_above_zero_exits_3(tmp_path, capsys, helium_path, c_e, shown):
+    # before, 0 ended in a ZeroDivisionError traceback and -0.5 exited 0 with
+    # E2 = 0 (every kappa clipped to 0)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hf_data": helium_path, "parts": ["I"], "c_e": c_e}))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--mode", "exact",
+                 "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: C_e must be finite and above 0, got {shown}\n" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_pipeline_out_dir_under_a_file_exits_2(tmp_path, capsys, helium_path):
     # before, NotADirectoryError from mkdir ended in a traceback
     (tmp_path / "afile").write_text("")
@@ -179,6 +194,8 @@ def test_pipeline_rejects_bad_parts(tmp_path, capsys, helium_path, parts, messag
     ({"lambda_step": "0.04", "parts": ["I"]},
      "config key 'lambda_step', part 'I': '0.04' is not a number"),
     ({"c_e": "0.5", "parts": ["I"]}, "config key 'c_e', part 'I': '0.5' is not a number"),
+    ({"lambda_step": int("9" * 401), "parts": ["I"]},
+     "config key 'lambda_step', part 'I': an integer of 401 digits is out of a double's range"),
 ])
 def test_pipeline_rejects_bad_per_part_config(tmp_path, capsys, helium_path,
                                                 config, message):
@@ -677,6 +694,9 @@ _MISSING = "(field removed)"
     ("coupling", ["edges"], 5, "edges: expected a list, got 5"),
     ("coupling", ["edges"], _MISSING, "edges: expected a list, got None"),
     ("coupling", ["n_qubits"], _MISSING, "n_qubits: None is not an integer"),
+    pytest.param("circuit", ["gates", 1, "angle"], -int("9" * 401),
+                 "gate 1 angle: an integer of 401 digits is out of a double's range",
+                 id="circuit-angle-of-401-digits"),
 ])
 def test_lower_rejects_malformed_json(tmp_path, capsys, doc, field, value, reason):
     # before, these were truncated to integers or ended in a TypeError traceback

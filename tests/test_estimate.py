@@ -430,6 +430,20 @@ def test_auto_lambda_max_rejects_a_c_e_above_a_denominator(helium_blocks):
         estimate.auto_lambda_max(blk, c_e=10 * default_c_e(blk))
 
 
+@pytest.mark.parametrize("c_e", [0.0, -0.5, np.nan, np.inf])
+def test_every_kappa_reader_rejects_a_c_e_not_above_zero(helium_blocks, c_e):
+    # a negative C_e used to clip every kappa to 0 and a zero one to divide by
+    # zero downstream; ratio_table checks it for each reader of kappa
+    blk = helium_blocks["IV"]
+    readers = [lambda: ratio_table(blk, c_e), lambda: builders.solve_angles(blk, c_e=c_e),
+               lambda: estimate.auto_lambda_max(blk, c_e=c_e),
+               lambda: estimate.ue_response_tables(blk, c_e=c_e),
+               lambda: run_block_sweep(blk, SweepConfig(0.1, 3, start_candidates=0, c_e=c_e))]
+    for read in readers:
+        with pytest.raises(NumericalError, match="C_e must be finite and above 0"):
+            read()
+
+
 def test_sweep_rejects_non_finite_gamma():
     rng = np.random.default_rng(8)
     blk = random_block(rng, zero_at=0)
