@@ -10,10 +10,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, json_int, json_list, json_number
+from .errors import SchemaError, json_int, json_list, json_number, parse_json
 
 # gate kinds
 X = "x"
@@ -201,8 +202,7 @@ class Circuit:
 
     @classmethod
     def load(cls, path) -> "Circuit":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), str(path))
+        return cls.from_dict(parse_json(Path(path).read_bytes(), str(path)), str(path))
 
 
 def controlled(circuit: Circuit, control: int) -> list[Gate]:

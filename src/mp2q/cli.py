@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, estimate, hfdata, lowering, mp2
 from .circuits import Circuit
 from .coupling import CouplingMap, named_map, pack_parallel_ue
-from .errors import LoweringError, NumericalError, SchemaError, json_int, json_number
+from .errors import (LoweringError, NumericalError, SchemaError, json_int, json_number,
+                     parse_json)
 
 
 def _fmt(x: float) -> str:
@@ -67,8 +68,7 @@ def cmd_oracle(args) -> int:
 
 
 def _load_config(path) -> dict:
-    with open(path) as fh:
-        config = json.load(fh)
+    config = parse_json(Path(path).read_bytes(), path)
     if not isinstance(config, dict):
         raise SchemaError(f"{path}: config must be a JSON object, got {type(config).__name__}")
     return config
@@ -121,7 +121,7 @@ def cmd_pipeline(args) -> int:
         raise SchemaError(f"config key 'out_dir' must name a directory, got {out_dir!r}")
     # parse and hash the same bytes, so the manifest describes what was read
     hf_bytes = Path(hf_path).read_bytes()
-    data = hfdata.load(hf_bytes)
+    data = hfdata.load(hf_bytes, hf_path)
     parts = _parts(args, config)
     mode = args.mode or config.get("mode", estimate.EXACT)
     modes = ("exact", estimate.EXACT, estimate.SAMPLED)
@@ -227,8 +227,7 @@ def _coupling_from_arg(arg: str) -> CouplingMap:
 def _read_layout(path, n_qubits: int) -> dict[int, int]:
     """A JSON object from qubits of the circuit, written as decimal strings,
     to physical qubits, written as JSON integers."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = parse_json(Path(path).read_bytes(), path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: layout must be a JSON object, got {type(doc).__name__}")
     qubits = {str(q): q for q in range(n_qubits)}
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, LoweringError, ValueError, KeyError, OSError) as exc:
+    except (SchemaError, LoweringError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

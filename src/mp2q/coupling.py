@@ -12,9 +12,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from pathlib import Path
 
 from .circuits import NATIVE_KINDS, Circuit
-from .errors import SchemaError, json_int, json_list
+from .errors import SchemaError, json_int, json_list, parse_json
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class CouplingMap:
 
     @classmethod
     def load(cls, path) -> "CouplingMap":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), str(path))
+        return cls.from_dict(parse_json(Path(path).read_bytes(), str(path)), str(path))
 
 
 def complete_map(n: int) -> CouplingMap:

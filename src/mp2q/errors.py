@@ -1,3 +1,7 @@
+import json
+import sys
+
+
 class Mp2qError(Exception):
     """Base error for this package."""
 
@@ -39,3 +43,18 @@ def json_list(doc, key: str, source: str) -> list:
     if not isinstance(doc.get(key), list):
         raise SchemaError(f"{source}: {key}: expected a list, got {doc.get(key)!r}")
     return doc[key]
+
+
+def parse_json(text: bytes | str, source: str):
+    """json.loads(text), with what it rejects (a syntax error, bytes that do
+    not decode, an integer past the interpreter's digit limit) raised as a
+    SchemaError naming `source` and the problem."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        problem = f"{exc.msg} at line {exc.lineno}, column {exc.colno}"
+    except UnicodeDecodeError as exc:
+        problem = f"cannot decode byte {exc.start} as {exc.encoding}"
+    except ValueError:   # int() of a literal longer than the digit limit
+        problem = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    raise SchemaError(f"{source}: not valid JSON: {problem}")

@@ -9,6 +9,7 @@ which is what the energy divides out.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .builders import default_base_state, default_c_e, fwht, ratio_table
 from .errors import NumericalError
 from .hfdata import EriBlock, HartreeFockData, helium_blocks
 from .mp2 import block_sign
-from .statevec import StepStreams
 
 EXACT = "exact-probabilities"
 SAMPLED = "sampled"
@@ -94,8 +94,7 @@ def _register_probs(spectrum: tuple[np.ndarray, np.ndarray], lams: np.ndarray) -
 
 
 def _sweep_chunk(sweep: SweepResult, first: int, registers: np.ndarray,
-                 readout_split: np.ndarray, config: SweepConfig,
-                 streams: StepStreams) -> None:
+                 readout_split: np.ndarray, config: SweepConfig) -> None:
     """Fill rows first, first + 1, ... of `sweep` from their register
     probabilities (`_register_probs`, one row per step), the whole chunk at
     once. U_E moves register outcome x to readout 1 with probability w[x]:
@@ -115,8 +114,10 @@ def _sweep_chunk(sweep: SweepResult, first: int, registers: np.ndarray,
                              f"{float(totals[bad[0]])}")
     fractions = probs
     if sampled:
+        entropy, label = config.seed & 0xFFFF_FFFF_FFFF_FFFF, zlib.crc32(sweep.part.encode())
         for step, row, counts in zip(range(first, first + len(probs)), probs, outcomes):
-            counts[...] = statevec.sample_counts(row, config.shots, streams.generator(step))
+            seed = np.random.SeedSequence(entropy, spawn_key=(label, step))
+            counts[...] = statevec.sample_counts(row, config.shots, seed)
         fractions = outcomes / config.shots
     # zeta counts readout 1, or with no readout qubit the register outside the base state
     zeta, rows.zeta_signal = _ordered_sums(fractions[:, -registers.shape[1]:], sweep.base_state)
@@ -141,19 +142,16 @@ _CHUNK_AMPLITUDES = 1 << 12
 
 
 def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
-                    base_state: int | None = None,
-                    streams: StepStreams | None = None) -> SweepResult:
-    """Sweep lambda over the grid for one block; deterministic per (seed, step).
+                    base_state: int | None = None) -> SweepResult:
+    """Sweep lambda over the grid for one block; deterministic per (seed, part, step).
 
     Rows are the closed form of the U_INT (and U_E) circuit of
     builders.build_uint / build_pipeline, which stay as its test oracle.
     Rows are made in step order, a chunk of them per transform; a bad lambda
-    raises once every row before it is made and checked. A sampled row draws
-    from its step's stream in `streams` (None: a table of this sweep's own)."""
-    if streams is None:
-        streams = StepStreams(config.seed)
-    elif streams.base_seed != config.seed:
-        raise ValueError(f"streams of seed {streams.base_seed} for a sweep of seed {config.seed}")
+    raises once every row before it is made and checked. In sampled mode row
+    s of a sweep labelled p (SweepResult.part, "block" when `part` is empty)
+    draws its counts from SeedSequence(seed mod 2^64,
+    spawn_key=(zlib.crc32(p.encode()), s)), which no other part or row shares."""
     c_e = config.c_e if config.c_e is not None else default_c_e(block)
     kappa = ratio_table(block, c_e)
     base = default_base_state(block) if base_state is None else base_state
@@ -172,7 +170,7 @@ def run_block_sweep(block: EriBlock, config: SweepConfig, part: str = "",
     per_chunk = max(1, _CHUNK_AMPLITUDES >> block.n_qubits)
     for first in range(0, n_good, per_chunk):
         registers = _register_probs(spectrum, rows.lam[first:first + per_chunk])
-        _sweep_chunk(sweep, first, registers, split, config, streams)
+        _sweep_chunk(sweep, first, registers, split, config)
     if n_good < len(lams):
         raise ValueError(f"lambda must be finite and >= 0, got {lams[n_good]}")
     return sweep
@@ -452,13 +450,12 @@ def estimate_helium(data: HartreeFockData, mode: str = EXACT, shots: int = 100_0
     c_es: dict[str, float] = {}
     signs: dict[str, int] = {}
     details: dict[str, PartEstimate] = {}
-    streams = StepStreams(seed)   # parts sampling the same step share its stream
     for part in parts:
         step, total = grids[part]
         config = SweepConfig(lambda_step=step, total_steps=total, shots=shots,
                              seed=seed, mode=mode, start_candidates=start_candidates,
                              c_e=None if c_e is None else c_e.get(part))
-        sweep = run_block_sweep(blocks[part], config, part, streams=streams)
+        sweep = run_block_sweep(blocks[part], config, part)
         selection = select_start_step(sweep, step, total)
         fits[part] = selection.best
         c_es[part] = sweep.c_e

@@ -6,14 +6,13 @@ rejected at load. Energies are Hartree.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, json_number
+from .errors import SchemaError, json_number, parse_json
 
 SYMMETRY_TOL = 1e-8
 
@@ -102,10 +101,12 @@ def _tensor_from_schema(node, n: int, name: str) -> np.ndarray:
     raise SchemaError(f"unknown {name} format {fmt!r}")
 
 
-def load(source) -> HartreeFockData:
-    """Load HF results from the JSON schema, given a path or the file's bytes;
-    validates units, notation and symmetry."""
-    doc = json.loads(source if isinstance(source, bytes) else Path(source).read_bytes())
+def load(source, name: str | None = None) -> HartreeFockData:
+    """Load HF results from the JSON schema, given a path or the file's bytes
+    (`name` names them in a JSON error); validates units, notation and symmetry."""
+    if not isinstance(source, bytes):
+        name, source = name or str(source), Path(source).read_bytes()
+    doc = parse_json(source, name or "HF data")
     if not isinstance(doc, dict):
         raise SchemaError(f"HF data must be a JSON object, got {type(doc).__name__}")
     for key in ("n_orbitals", "n_occupied", "units", "notation",

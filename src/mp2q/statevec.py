@@ -126,11 +126,11 @@ def probabilities(state: StateVector) -> np.ndarray:
 
 
 def sample_counts(probs: np.ndarray, shots: int,
-                  seed: int | np.random.Generator) -> np.ndarray:
+                  seed: int | np.random.SeedSequence | np.random.Generator) -> np.ndarray:
     """Seeded multinomial draw from an exact outcome distribution: int64
     counts indexed by basis state (e.g. probabilities(state)), summing to
-    shots. `seed` seeds PCG64, or is a generator at the start of a PCG64
-    stream (`StepStreams.generator`), which draws the counts of that seed."""
+    shots. `seed` is a PCG64 seed (an int or a SeedSequence, such as the one
+    a sweep row derives from its seed, part and step), or a generator."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
@@ -140,33 +140,3 @@ def marginal_probability(state: StateVector, qubit: int, value: int = 1) -> floa
     probs = probabilities(state)
     idx = np.arange(1 << state.n_qubits)
     return float(probs[(idx >> qubit) & 1 == value].sum())
-
-
-def task_seed(base_seed: int, task_index: int) -> int:
-    """Deterministic per-task seed derived from (base_seed, task_index)."""
-    ss = np.random.SeedSequence([int(base_seed) & 0xFFFFFFFFFFFFFFFF, int(task_index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-class StepStreams:
-    """The PCG64(task_seed(base_seed, step)) stream of each sampling step,
-    seeded once, on first use. Later uses of a step restore its start state
-    into the one live bit generator, so sweeps that draw at the same step
-    pay for one seeding between them. A table serves one run and is dropped
-    with it; nothing is kept across runs."""
-
-    def __init__(self, base_seed: int):
-        self.base_seed = base_seed
-        self._starts: dict[int, dict] = {}
-        self._bit_generator: np.random.PCG64 | None = None
-
-    def generator(self, step: int) -> np.random.Generator:
-        """The generator at the start of the step's stream. It shares the live
-        bit generator, so it is spent by the next call."""
-        start = self._starts.get(step)
-        if start is None:
-            self._bit_generator = np.random.PCG64(task_seed(self.base_seed, step))
-            self._starts[step] = self._bit_generator.state
-        else:
-            self._bit_generator.state = start
-        return np.random.Generator(self._bit_generator)

@@ -53,6 +53,26 @@ def test_oracle_schema_error(tmp_path, capsys):
     assert main(["oracle", "--hf-data", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, reason", [
+    pytest.param('{"n_orbitals": 2,', "Expecting property name enclosed in double quotes "
+                 "at line 1, column 18", id="not-json"),
+    pytest.param('{"n_orbitals": ' + "9" * 5000 + "}", "an integer has more than 4300 digits",
+                 id="integer-of-5000-digits"),
+    pytest.param(b'{"units": "\xff"}', "cannot decode byte 11 as utf-8", id="not-utf-8"),
+])
+@pytest.mark.parametrize("command", ["oracle", "pipeline"])
+def test_unparsable_hf_data_exits_2_naming_the_file(tmp_path, capsys, command, text, reason):
+    # before, the pipeline (which parses the file's bytes) and the oracle
+    # printed json's message alone, or a hint to raise the digit limit
+    path = tmp_path / "hf.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "pipeline" else []
+    assert main([command, "--hf-data", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: not valid JSON: {reason}" in err
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("index", [-1, 1.5, 3])
 def test_oracle_bad_sparse_index_exits_2(tmp_path, capsys, index):
     # before, -1 wrapped around and 1.5 was truncated (exit 0); 3 raised IndexError
@@ -254,12 +274,14 @@ def test_pipeline_sampled_reproducible(tmp_path, helium_path, capsys):
 # changes redraw the counts (seed 7: E2 error -0.70% -> -1.33%).
 # Since then the exact sweep.csv digest moved once more, when the U_E readout
 # weights became kappa = C_e/|den| instead of sin^2(arccos(1 - 2 kappa)/2):
-# the last bits of some probabilities changed, fits.json did not.
+# the last bits of some probabilities changed, fits.json did not. The sampled
+# digests moved again when each (part, step) row got a stream of its own
+# instead of one stream per step shared by the parts (seed 7: -1.33% -> -1.20%).
 PINNED_DIGESTS = {
     "exact": ("519f80c4f380455131c085c21647c102488a39c2da99f519522878da32b499ce",
               "67b7e0a6f4529c66849ade69c163f9b4d5450564f7117ad1c9abddd7bd622ad0"),
-    "sampled": ("928a1c3bb0d3009fd4a1c1e2aa5b23a976a3301ce6b9b99af8b976e6fd88a61b",
-                "2b74710a5939a80c8653b59d060ec82729cbffc8373f4420a4bf6939b63bce95"),
+    "sampled": ("8e047ceb726fe1cec86f213bfeb9db3755277dc66dbcff1abf94aae2526cee13",
+                "2a376e63d40290de0f9ea9adc231575b30110c4b43e6dfdd4e38cb660c2597f5"),
 }
 
 
@@ -277,14 +299,15 @@ def test_pipeline_outputs_pinned(tmp_path, capsys, helium_path, mode):
 # was still written by csv.writer one outcome at a time and every sweep row
 # had its own transform: other seeds, the published grids (whose small
 # probabilities print in exponent form) and single-part runs. The exact
-# sweep.csv digests moved when the U_E readout weights became kappa.
+# sweep.csv digests moved when the U_E readout weights became kappa, and the
+# sampled ones when each (part, step) row got a stream of its own.
 PINNED_RUN_DIGESTS = {
     "sampled-seed0": (["--mode", "sampled", "--seed", "0"],
-                      "5cf262de2e931a19ece1d959f3e35887cb673ed3034d3a1b2cc8b1699f7163f3",
-                      "61a939535f63e60f9b11eaa65074c2050ad62e0fcd32853392fe7150c00d1224"),
+                      "c32260bfe86712d8a628e9c2b1fde59340b7181530f465271ea30060a662d81b",
+                      "9b6d51ade1a5e7021e551c834e900ac43fcc7e54f634a562415a367e05eeeaf9"),
     "sampled-seed1": (["--mode", "sampled", "--seed", "1"],
-                      "e09bc7ca81dcf908fab56b84091e950248772583a24f0dbf9e0e68f8ff00cc72",
-                      "8de21deceac1c2e9dc57bb924c15d2aabd7e79ed9d21165d3f8f3b7aee592664"),
+                      "f10ae9d166e94c225f65e26c7ac40b4594252ef7cb009c6d1959cec60b77f0f7",
+                      "0360a172225fd5221e7eb9f2186f364024a8b44ce67c41039869901e6f986645"),
     "exact-paper-grids": (["--mode", "exact"],
                           "d280b62ce91bde7cbb9b607905b33028ef46edf38c2f2a5b530a0b17769bccbe",
                           "bf12ee7a470aa0f07b4de92c2dc0cffc16ca4bce3665945d7a633821bb38cfb9"),
@@ -292,8 +315,8 @@ PINNED_RUN_DIGESTS = {
                       "927b4275cdd1df4094a33066e33a56f8596dc6873f0a8860a8107c4ae301560e",
                       "ec68bce629726b18263ae3f2e7c27d8b42b67093a79f546b1ad262bed2a34c4c"),
     "sampled-part-IV-seed1": (["--mode", "sampled", "--parts", "IV", "--seed", "1"],
-                              "d7af98e238f8cf774b509da80204cdc7ee1f21907f26bb505dbb06fdcd8cdbf7",
-                              "e40d6d4525ccb97c0fe9954a428fc7aac6ae824f82a0ce118e4c6b12e442f960"),
+                              "bec8f781d36cad44adf8753dca9bc344191073bd35c3eef9f1110684530fa546",
+                              "27a9146af5db51a0b9929e551b2794ae3edc6822686aeef918ffd82b1afd6339"),
 }
 
 
@@ -390,12 +413,18 @@ def test_pipeline_needs_an_hf_path(tmp_path, capsys, config):
     ({"mode": 3}, "config key 'mode' must be one of exact, exact-probabilities, "
                   "sampled, got 3"),
     ({"mode": ["sampled"]}, "config key 'mode' must be one of"),
+    # a string is the file's text
+    pytest.param('{"parts": ["I"],', "config.json: not valid JSON: Expecting property name "
+                 "enclosed in double quotes at line 1, column 17", id="not-json"),
+    pytest.param('{"lambda_step": ' + "9" * 5000 + "}",
+                 "config.json: not valid JSON: an integer has more than 4300 digits",
+                 id="integer-of-5000-digits"),
 ])
 def test_pipeline_rejects_a_bad_config_or_mode(tmp_path, capsys, helium_path, config, message):
-    # a list once ended in an AttributeError traceback, and an unknown mode
-    # printed only "error: 'foo'"
+    # a list once ended in an AttributeError traceback, an unknown mode
+    # printed only "error: 'foo'", and text that is not JSON named no file
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     out_dir = tmp_path / "out"
     assert main(["pipeline", "--config", str(path), "--hf-data", helium_path,
                  "--out-dir", str(out_dir)]) == 2
@@ -453,6 +482,20 @@ def test_pipeline_render_failure_keeps_previous_outputs(tmp_path, capsys, helium
     with pytest.raises(RuntimeError, match="rendering failed"):
         main([*base, "--parts", "I,IV"])
     assert _snapshot(tmp_path) == first
+
+
+def test_internal_key_error_is_not_reported_as_bad_input(tmp_path, capsys, helium_path,
+                                                        monkeypatch):
+    # no input check raises KeyError, so one from inside is a fault: it once
+    # printed "error: 'internal'" and exited 2
+    def fail(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(estimate, "estimate_helium", fail)
+    with pytest.raises(KeyError, match="internal"):
+        main(["pipeline", "--hf-data", helium_path, "--mode", "exact",
+              "--out-dir", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
 
 
 def test_pipeline_rename_failure_removes_temp(tmp_path, capsys, helium_path, monkeypatch):
@@ -654,11 +697,17 @@ def test_correct_rejects_tables_of_different_width(tmp_path, capsys):
     ([0, 1, 2], "layout must be a JSON object, got list"),
     ({"0": 0, "1": 1, "2": 2, "7": 3}, "layout key '7' is not a qubit of the 3-qubit circuit"),
     ({"0": 0, "01": 1, "2": 2}, "layout key '01' is not a qubit"),
+    # a string is the file's text
+    pytest.param('{"0": 0,', "not valid JSON: Expecting property name enclosed in double quotes",
+                 id="not-json"),
+    pytest.param('{"0": ' + "9" * 5000 + "}",
+                 "not valid JSON: an integer has more than 4300 digits",
+                 id="integer-of-5000-digits"),
 ])
 def test_lower_rejects_malformed_layout(tmp_path, capsys, layout, reason):
     circ_path, layout_path = tmp_path / "c.json", tmp_path / "layout.json"
     Circuit(3, [cg.cnot(0, 2), cg.h(1)]).save(circ_path)
-    layout_path.write_text(json.dumps(layout))
+    layout_path.write_text(layout if isinstance(layout, str) else json.dumps(layout))
     out_path = tmp_path / "low.json"
     rc = main(["lower", "--circuit", str(circ_path), "--coupling", "complete-4",
                "--layout", str(layout_path), "--out", str(out_path)])
@@ -697,6 +746,12 @@ _MISSING = "(field removed)"
     pytest.param("circuit", ["gates", 1, "angle"], -int("9" * 401),
                  "gate 1 angle: an integer of 401 digits is out of a double's range",
                  id="circuit-angle-of-401-digits"),
+    # a string is the file's text
+    pytest.param("circuit", [], '{"n_qubits": 2, "gates": [}',
+                 "not valid JSON: Expecting value at line 1, column 27", id="circuit-not-json"),
+    pytest.param("coupling", [], '{"n_qubits": ' + "9" * 5000 + ', "edges": []}',
+                 "not valid JSON: an integer has more than 4300 digits",
+                 id="coupling-integer-of-5000-digits"),
 ])
 def test_lower_rejects_malformed_json(tmp_path, capsys, doc, field, value, reason):
     # before, these were truncated to integers or ended in a TypeError traceback
@@ -715,7 +770,8 @@ def test_lower_rejects_malformed_json(tmp_path, capsys, doc, field, value, reaso
             node[field[-1]] = value
     paths = {name: tmp_path / f"{name}.json" for name in docs}
     for name, path in paths.items():
-        path.write_text(json.dumps(docs[name]))
+        text = docs[name]
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
     out_path = tmp_path / "low.json"
     rc = main(["lower", "--circuit", str(paths["circuit"]), "--coupling",
                str(paths["coupling"]), "--out", str(out_path)])

@@ -1,3 +1,4 @@
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -487,22 +488,27 @@ def test_sweep_transforms_only_rows_whose_lambda_passed(monkeypatch):
     assert batches == [1]
 
 
+def _row_seed(seed, part, step):
+    """The seed a sampled sweep row draws from, as run_block_sweep states it."""
+    return np.random.SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF,
+                                  spawn_key=(zlib.crc32(part.encode()), step))
+
+
 def test_sampled_helium_run_seeds_each_step_once(helium, monkeypatch):
-    # parts I, III and IV sweep 16 + 18 + 32 rows over steps 0..31; each
-    # step is seeded once per run, and a second run seeds again
-    seeded = []
-    task_seed = statevec.task_seed
+    # parts I, III and IV sweep 16 + 18 + 32 rows; each step of each part
+    # draws once, from a seed of its own
+    seeds = []
+    sample_counts = statevec.sample_counts
 
-    def counting(base_seed, step):
-        seeded.append(step)
-        return task_seed(base_seed, step)
+    def counting(probs, shots, seed):
+        seeds.append(seed)
+        return sample_counts(probs, shots, seed)
 
-    monkeypatch.setattr(statevec, "task_seed", counting)
-    for _ in range(2):
-        seeded.clear()
-        result = estimate_helium(helium, mode=estimate.SAMPLED, seed=3)
-        assert sum(len(p.sweep.rows) for p in result.parts.values()) == 66
-        assert sorted(seeded) == list(range(32))
+    monkeypatch.setattr(statevec, "sample_counts", counting)
+    result = estimate_helium(helium, mode=estimate.SAMPLED, seed=3)
+    assert sum(len(p.sweep.rows) for p in result.parts.values()) == 66
+    assert len(seeds) == 66
+    assert len({(s.entropy, s.spawn_key) for s in seeds}) == 66
 
 
 def test_shared_streams_draw_what_each_sweep_draws_alone(helium, helium_blocks):
@@ -516,26 +522,23 @@ def test_shared_streams_draw_what_each_sweep_draws_alone(helium, helium_blocks):
         assert len(detail.sweep.rows) == len(alone.rows)
         assert detail.sweep.outcomes.tobytes() == alone.outcomes.tobytes()
         assert detail.sweep.rows.tobytes() == alone.rows.tobytes()
-        # each row draws from the stream of task_seed(11, step)
+        # each row draws from the seed of (11, part, step)
         for step, (counts, probs) in enumerate(zip(detail.sweep.outcomes, exact.outcomes)):
-            seed = statevec.task_seed(11, step)
+            seed = _row_seed(11, part, step)
             assert counts.tobytes() == statevec.sample_counts(probs, 5000, seed).tobytes()
 
 
-def test_step_stream_restarts_where_a_fresh_seeding_starts():
-    streams = statevec.StepStreams(4)
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
-    for step in (2, 0, 2, 2, 0):
-        shared = statevec.sample_counts(probs, 777, streams.generator(step))
-        fresh = statevec.sample_counts(probs, 777, statevec.task_seed(4, step))
-        assert shared.tobytes() == fresh.tobytes()
-
-
-def test_sweep_rejects_streams_of_another_seed():
+def test_sweep_labels_draw_apart_and_longer_grids_repeat_rows():
+    # one block under two labels: the same seed and steps draw other counts,
+    # and the same label draws the same counts, on a longer grid too
     blk = random_block(np.random.default_rng(3))
-    config = SweepConfig(0.05, 3, shots=100, seed=1, mode=estimate.SAMPLED, start_candidates=0)
-    with pytest.raises(ValueError, match="streams of seed 2 for a sweep of seed 1"):
-        run_block_sweep(blk, config, streams=statevec.StepStreams(2))
+    config = SweepConfig(0.05, 4, shots=1000, seed=1, mode=estimate.SAMPLED,
+                         start_candidates=0)
+    a, b = (run_block_sweep(blk, config, label).outcomes for label in ("A", "B"))
+    longer = run_block_sweep(blk, replace(config, total_steps=7), "A").outcomes
+    assert a.tobytes() == run_block_sweep(blk, config, "A").outcomes.tobytes()
+    assert longer[:len(a)].tobytes() == a.tobytes()
+    assert all(row_a.tobytes() != row_b.tobytes() for row_a, row_b in zip(a, b))
 
 
 def _one_row_sweep(block, config):
@@ -558,8 +561,9 @@ def _one_row_sweep(block, config):
             probs = np.concatenate([register * (1.0 - weights), register * weights])
         outcomes = fractions = probs
         if config.mode == estimate.SAMPLED:
+            # run_block_sweep labels a sweep without a part "block"
             outcomes = statevec.sample_counts(probs, config.shots,
-                                              statevec.task_seed(config.seed, step))
+                                              _row_seed(config.seed, "block", step))
             fractions = outcomes / config.shots
         idx = np.arange(fractions.size)
         excited = (idx & (d.size - 1)) != base
@@ -631,7 +635,7 @@ def test_sweep_table_columns_and_outcomes(helium_blocks, mode):
     else:
         assert sweep.outcomes.dtype == np.int64 and sweep.shots == 3000
         assert sweep.outcomes.sum(axis=1).tolist() == [3000] * n
-        # row `step` draws from the stream of task_seed(seed, step)
+        # row `step` draws from the seed of (seed, part, step)
         for step, probs in enumerate(exact.outcomes):
-            expected = statevec.sample_counts(probs, 3000, statevec.task_seed(5, step))
+            expected = statevec.sample_counts(probs, 3000, _row_seed(5, "I", step))
             assert sweep.outcomes[step].tobytes() == expected.tobytes()

@@ -167,12 +167,6 @@ def test_sample_frequency_convergence_many_seeds():
             assert abs(freq - p) <= bound
 
 
-def test_task_seed_distinct():
-    seeds = {statevec.task_seed(7, i) for i in range(100)}
-    assert len(seeds) == 100
-    assert statevec.task_seed(7, 3) == statevec.task_seed(7, 3)
-
-
 def test_apply_gate_mutates_and_returns_its_buffer():
     n = 4
     gates = [cg.x(0), cg.h(1), cg.rx(0.3, 2), cg.ry(0.4, 3), cg.rz(0.5, 0),
